@@ -19,7 +19,6 @@ import typing as t
 import warnings
 
 import numpy as np
-from scipy import optimize
 
 from repro._errors import AnalysisError
 
@@ -99,6 +98,9 @@ def _validate_curve(counts: t.Sequence[float],
 def fit_usl(counts: t.Sequence[float],
             throughputs: t.Sequence[float]) -> UslFit:
     """Least-squares USL fit with non-negativity bounds."""
+    # Imported here so `import repro` stays free of scipy.
+    from scipy import optimize
+
     n, x = _validate_curve(counts, throughputs, minimum_points=3)
 
     def usl(n_values, lambda_, sigma, kappa):
@@ -128,6 +130,8 @@ def fit_usl(counts: t.Sequence[float],
 def fit_amdahl(counts: t.Sequence[float],
                speedups: t.Sequence[float]) -> AmdahlFit:
     """Least-squares Amdahl fit of a speedup curve (speedup(1) ≈ 1)."""
+    from scipy import optimize
+
     n, s = _validate_curve(counts, speedups, minimum_points=2)
 
     def amdahl(n_values, p):

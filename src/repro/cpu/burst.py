@@ -56,8 +56,11 @@ class TaskGroup:
 class CpuBurst:
     """One non-preemptive unit of CPU demand awaiting execution.
 
-    ``done`` is an event that succeeds with the burst once it finishes;
-    service worker processes yield it.
+    ``done`` is an event that succeeds with ``None`` once the burst
+    finishes; service worker processes yield it.  Its value is not the
+    burst: that would form a burst <-> event reference cycle per burst,
+    which only the cyclic GC frees, and the simulator suspends GC while
+    it runs.
     """
 
     __slots__ = ("demand", "group", "done", "submitted_at", "started_at",

@@ -353,7 +353,9 @@ class CpuScheduler:
         # burst's (uniform counter shift keeps relative FIFO order).
         self._dispatch_next(cpu_index)
         self._re_rate_sibling(cpu_index)
-        burst.done.succeed(burst)
+        # Succeeding with the burst itself would make a burst <-> event
+        # cycle that only the (suspended) cyclic GC could free.
+        burst.done.succeed(None)
 
     def _dispatch_next(self, cpu_index: int) -> None:
         queue = self._queues[cpu_index]

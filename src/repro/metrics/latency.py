@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+# np.percentile imports numpy.ma on its first call; load it with the
+# measurement plane so that cost is paid at import, not in a run.
+import numpy.ma  # noqa: F401
 
 from repro._errors import AnalysisError
 from repro.metrics.columns import Column, StringInterner

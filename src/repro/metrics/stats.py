@@ -13,7 +13,6 @@ import math
 import typing as t
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro._errors import AnalysisError
 
@@ -57,6 +56,9 @@ class Summary:
 def confidence_interval(values: t.Sequence[float],
                         confidence: float = 0.95) -> Summary:
     """Student-t confidence interval for the mean of repeated runs."""
+    # scipy loads in about a second; no simulated point needs it.
+    from scipy import stats as scipy_stats
+
     if not values:
         raise AnalysisError("confidence_interval of empty sequence")
     if not 0.0 < confidence < 1.0:

@@ -9,7 +9,9 @@
  *   arrays, calling back into Python only where the reference does —
  *   the perf model's hooks, kernel scheduling, handle cancellation,
  *   and the burst's `done` completion — in exactly the reference's
- *   order.  CompiledCpuScheduler owns one and delegates to it.
+ *   order.  CompiledCpuScheduler owns one and delegates to it.  `done`
+ *   succeeds with None, so a finished burst and its event hold no
+ *   reference cycle and refcounting frees them.
  *
  * - CWorker is repro.services.instance._WorkerMachine in C: one
  *   replica worker that registers itself as the event callback for
@@ -881,7 +883,8 @@ core_complete(SchedCoreObject *c, int cpu)
         goto done;
     if (core_re_rate_sibling(c, cpu) < 0)
         goto done;
-    rv = trigger_succeed(slot_get(burst, M.b_done), burst);
+    /* None, not the burst: see CpuScheduler._complete. */
+    rv = trigger_succeed(slot_get(burst, M.b_done), Py_None);
 done:
     Py_DECREF(burst);
     return rv;

@@ -15,6 +15,9 @@ import typing as t
 import zlib
 
 import numpy as np
+# numpy loads its submodules lazily; every point draws from a Generator,
+# so pay for numpy.random at import rather than inside the first run.
+import numpy.random  # noqa: F401
 
 from repro._errors import ConfigurationError
 

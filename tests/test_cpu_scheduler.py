@@ -44,13 +44,15 @@ def test_single_burst_runs_at_nominal_speed():
     assert burst.queueing_delay == 0.0
 
 
-def test_done_event_carries_burst():
+def test_done_event_succeeds_with_none():
     sim, machine, scheduler = make_scheduler()
     group = TaskGroup("g", machine.all_cpus())
     burst = run_burst(sim, scheduler, group, ms(1.0))
     sim.run()
     assert burst.done.triggered
-    assert burst.done.value is burst
+    assert burst.done.ok
+    # Not the burst: that would tie burst and event in a reference cycle.
+    assert burst.done.value is None
 
 
 def test_zero_demand_completes_immediately():
