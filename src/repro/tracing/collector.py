@@ -1,12 +1,16 @@
 """Span collection and latency decomposition.
 
 Spans are stored columnar: a :class:`SpanTable` keeps one growable numpy
-column per field (four float64 timestamps, int64 ids, uint32 interned
-service/endpoint codes), so a hop costs ~44 bytes instead of a boxed
-dataclass plus dict entries.  :class:`Span` survives as a lazy row view
-over the table, and the E11 decomposition aggregates with one
-argsort-based sweep over all exclusive intervals instead of per-root
-dict-of-list merging.
+column per field (three int64 ids, two uint32 interned service/endpoint
+codes, four float64 timestamps), so recording a hop costs 64 bytes of
+columns (plus the columns' doubling slack) and no Python object.  The
+call tree is not stored: roots and children are derived from the
+``parent_id`` and ``request_id`` columns when a query first asks for
+them, and that index (about three Python ints per row) is cached until
+the row count changes.  :class:`Span` survives as a lazy row view over
+the table, and the E11 decomposition aggregates with one argsort-based
+sweep over all exclusive intervals instead of per-root dict-of-list
+merging.
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ class SpanTable:
     """Columnar storage for completed request hops.
 
     Parallel columns, one row per hop; ``parent_id`` and ``instance_id``
-    use ``-1`` for "none" so the columns stay dense int64.
+    use ``-1`` for "none" so the columns stay dense int64.  Rows are in
+    completion order.
     """
 
     __slots__ = ("request_id", "parent_id", "instance_id",
                  "service_code", "endpoint_code",
                  "created", "enqueued", "started", "completed",
-                 "services", "endpoints",
-                 "row_of", "children_rows", "root_rows")
+                 "services", "endpoints", "_tree")
 
     def __init__(self):
         self.request_id = Column(np.int64)
@@ -47,12 +51,7 @@ class SpanTable:
         self.completed = Column(np.float64)
         self.services = StringInterner()
         self.endpoints = StringInterner()
-        #: request id → row index.
-        self.row_of: dict[int, int] = {}
-        #: parent request id → child row indices, in completion order.
-        self.children_rows: dict[int, list[int]] = {}
-        #: rows of parentless spans, in completion order.
-        self.root_rows: list[int] = []
+        self._tree: _SpanTree | None = None
 
     def __len__(self) -> int:
         return len(self.request_id)
@@ -72,11 +71,6 @@ class SpanTable:
         self.enqueued.append(enqueued_at)
         self.started.append(started_at)
         self.completed.append(completed_at)
-        self.row_of[request_id] = row
-        if parent_id is None:
-            self.root_rows.append(row)
-        else:
-            self.children_rows.setdefault(parent_id, []).append(row)
         return row
 
     def clear(self) -> None:
@@ -86,9 +80,21 @@ class SpanTable:
                        self.created, self.enqueued, self.started,
                        self.completed):
             column.clear()
-        self.row_of.clear()
-        self.children_rows.clear()
-        self.root_rows.clear()
+        # The tree cache is keyed on the row count alone, which a clear
+        # followed by as many appends would match again.
+        self._tree = None
+
+    def _tree_index(self) -> "_SpanTree":
+        """Roots and child rows, derived from the id columns.
+
+        Built on first use and kept until the row count changes, so a
+        query pays for one argsort however many lookups it makes.
+        """
+        tree = self._tree
+        if tree is None or tree.rows != len(self.request_id):
+            tree = self._tree = _SpanTree(self.request_id.as_array(),
+                                          self.parent_id.as_array())
+        return tree
 
     def to_payload(self) -> dict:
         """JSON-native columnar dump (codes + vocabularies, not strings).
@@ -125,9 +131,8 @@ class SpanTable:
         Request ids are process-local counters, so tables produced by
         different shard processes collide; the offset relocates each
         incoming table into a disjoint id range (``-1`` "no parent"
-        stays ``-1``).  Row-derived indexes (``row_of``,
-        ``children_rows``, ``root_rows``) are rebuilt through the
-        ordinary append path.
+        stays ``-1``).  Rows go through :meth:`append` one by one, so
+        names are interned in the order the rows use them.
         """
         services = payload["services"]
         endpoints = payload["endpoints"]
@@ -202,6 +207,51 @@ class SpanTable:
             if ids:
                 offset += max(ids) + 1
         return table
+
+
+class _SpanTree:
+    """The call forest of a :class:`SpanTable`, derived from two columns.
+
+    Roots are the rows with ``parent_id < 0``.  The children of a row are
+    the rows whose ``parent_id`` equals its request id, so they stay keyed
+    by request id: rows sharing an id share their children, and a row
+    whose parent id has no row (an orphan) is reached from no root.  Both
+    keep row (completion) order.  The index is plain lists, so a tree walk
+    only slices them.
+    """
+
+    __slots__ = ("rows", "roots", "_order", "_lo", "_hi")
+
+    def __init__(self, request_ids: np.ndarray, parent_ids: np.ndarray):
+        #: Row count the index was built at (the cache key).
+        self.rows = len(request_ids)
+        #: Rows of parentless spans, in row order.
+        self.roots: list[int] = np.flatnonzero(parent_ids < 0).tolist()
+        # A stable sort keeps siblings in row order; a row's children are
+        # the run of its request id among the sorted parent ids.
+        order = np.argsort(parent_ids, kind="stable")
+        sorted_parents = parent_ids[order]
+        self._order: list[int] = order.tolist()
+        self._lo: list[int] = np.searchsorted(
+            sorted_parents, request_ids, side="left").tolist()
+        self._hi: list[int] = np.searchsorted(
+            sorted_parents, request_ids, side="right").tolist()
+
+    def children(self, row: int) -> list[int]:
+        """Rows whose parent id is ``row``'s request id, in row order."""
+        return self._order[self._lo[row]:self._hi[row]]
+
+    def trace(self, root: int) -> list[int]:
+        """``root`` and every row below it, each after its parent."""
+        order, lo, hi = self._order, self._lo, self._hi
+        result = [root]
+        frontier = [root]
+        while frontier:
+            row = frontier.pop()
+            kids = order[lo[row]:hi[row]]
+            result.extend(kids)
+            frontier.extend(kids)
+        return result
 
 
 class Span:
@@ -364,7 +414,15 @@ class TraceCollector:
                  created_at: float = 0.0, enqueued_at: float = 0.0,
                  started_at: float = 0.0,
                  completed_at: float = 1.0) -> Span:
-        """Inject one span directly (tests, importers, synthetic traces)."""
+        """Inject one span directly (tests, importers, synthetic traces).
+
+        Ids must be non-negative, as the simulator's request counter is:
+        the table stores a missing parent as ``-1``.
+        """
+        if request_id < 0 or (parent_id is not None and parent_id < 0):
+            raise AnalysisError(
+                f"span ids must be non-negative: request {request_id}, "
+                f"parent {parent_id}")
         row = self._table.append(request_id, parent_id, service, endpoint,
                                  instance_id, created_at, enqueued_at,
                                  started_at, completed_at)
@@ -394,39 +452,19 @@ class TraceCollector:
     def roots(self) -> list[Span]:
         """User-facing spans (no parent), in completion order."""
         table = self._table
-        return [Span(table, row) for row in table.root_rows]
+        return [Span(table, row) for row in table._tree_index().roots]
 
     def children_of(self, span: Span) -> list[Span]:
         """Direct downstream spans of one span."""
         table = self._table
-        return [Span(table, row)
-                for row in table.children_rows.get(span.request_id, ())]
+        kids = table._tree_index().children(span._row)
+        return [Span(table, row) for row in kids]
 
     def trace_of(self, root: Span) -> list[Span]:
         """The whole call tree below (and including) ``root``."""
         table = self._table
-        return [Span(table, row)
-                for row in self._trace_rows(root._row)]
-
-    def _trace_rows(self, root_row: int) -> list[int]:
-        table = self._table
-        request_ids = table.request_id.as_array()
-        result = [root_row]
-        frontier = [root_row]
-        while frontier:
-            row = frontier.pop()
-            kids = table.children_rows.get(int(request_ids[row]), ())
-            result.extend(kids)
-            frontier.extend(kids)
-        return result
-
-    def _exclusive_intervals_of_row(
-            self, row: int, created: list[float], completed: list[float],
-            request_ids: np.ndarray) -> list[tuple[float, float]]:
-        holes = [(created[child], completed[child])
-                 for child in self._table.children_rows.get(
-                     int(request_ids[row]), ())]
-        return _subtract((created[row], completed[row]), holes)
+        rows = table._tree_index().trace(root._row)
+        return [Span(table, row) for row in rows]
 
     def exclusive_intervals(self, span: Span) -> list[tuple[float, float]]:
         """The span's window minus its children's windows.
@@ -435,9 +473,10 @@ class TraceCollector:
         waited (own queueing + own CPU), not a downstream call.
         """
         table = self._table
-        holes = [(float(table.created.as_array()[child]),
-                  float(table.completed.as_array()[child]))
-                 for child in table.children_rows.get(span.request_id, ())]
+        created = table.created.as_array()
+        completed = table.completed.as_array()
+        holes = [(float(created[child]), float(completed[child]))
+                 for child in table._tree_index().children(span._row)]
         return _subtract((span.created_at, span.completed_at), holes)
 
     def exclusive_time(self, span: Span) -> float:
@@ -446,12 +485,13 @@ class TraceCollector:
 
     def _filtered_root_rows(self, endpoint: str | None) -> list[int]:
         table = self._table
+        root_rows = table._tree_index().roots
         if endpoint is None:
-            return list(table.root_rows)
+            return list(root_rows)  # a copy: the cached index stays put
         code = table.endpoints.code_if_known(endpoint)
         if code is None:
             return []
-        roots = np.asarray(table.root_rows, dtype=np.int64)
+        roots = np.asarray(root_rows, dtype=np.int64)
         mask = table.endpoint_code.as_array()[roots] == code
         return [int(row) for row in roots[mask]]
 
@@ -478,7 +518,7 @@ class TraceCollector:
             raise AnalysisError(
                 "no traced roots" + (f" for endpoint {endpoint!r}"
                                      if endpoint else ""))
-        request_ids = table.request_id.as_array()
+        tree = table._tree_index()
         service_codes = table.service_code.as_array()
         created = table.created.as_array().tolist()
         completed = table.completed.as_array().tolist()
@@ -490,9 +530,10 @@ class TraceCollector:
         first_seen: list[int] = []  # service codes in first-contribution order
         seen: set[int] = set()
         for ordinal, root_row in enumerate(root_rows):
-            for row in self._trace_rows(root_row):
-                intervals = self._exclusive_intervals_of_row(
-                    row, created, completed, request_ids)
+            for row in tree.trace(root_row):
+                holes = [(created[child], completed[child])
+                         for child in tree.children(row)]
+                intervals = _subtract((created[row], completed[row]), holes)
                 if not intervals:
                     continue
                 code = int(service_codes[row])
@@ -587,5 +628,5 @@ class TraceCollector:
         return events
 
     def __repr__(self) -> str:
-        return (f"<TraceCollector {len(self._table)} spans, "
-                f"{len(self._table.root_rows)} roots>")
+        roots = np.count_nonzero(self._table.parent_id.as_array() < 0)
+        return f"<TraceCollector {len(self._table)} spans, {roots} roots>"

@@ -1,5 +1,7 @@
 """Unit + integration tests for distributed tracing."""
 
+import tracemalloc
+
 import pytest
 
 from repro._errors import AnalysisError
@@ -89,6 +91,43 @@ def test_breakdown_requires_roots():
         TraceCollector().breakdown()
     with pytest.raises(AnalysisError):
         TraceCollector().mean_root_latency()
+
+
+def test_add_span_rejects_negative_ids():
+    # The table stores a missing parent as -1, so a negative id would
+    # read as "no parent" (or as every root's parent).
+    collector = TraceCollector()
+    with pytest.raises(AnalysisError):
+        add_span(collector, -1)
+    with pytest.raises(AnalysisError):
+        add_span(collector, 1, parent_id=-1)
+    assert len(collector) == 0
+
+
+def test_recording_a_span_costs_only_its_column_bytes():
+    """No per-span Python object: no index entry, no boxed id."""
+    collector = TraceCollector()
+    table = collector.table
+    spans = 100_000
+    first = 1_000  # above the small-int cache: every id is a new object
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(spans):
+            request_id = first + i
+            parent_id = None if i % 5 == 0 else request_id - i % 5
+            collector.add_span(request_id, parent_id, "svc", "op", i % 4,
+                               0.0, 0.0, 0.0, 1.0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    column_bytes = sum(column.nbytes for column in (
+        table.request_id, table.parent_id, table.instance_id,
+        table.service_code, table.endpoint_code, table.created,
+        table.enqueued, table.started, table.completed))
+    # 64 B of columns per row plus doubling slack; one byte per span of
+    # headroom is less than any Python object or list slot would take.
+    assert grown / spans <= column_bytes / spans + 1
 
 
 # ---------------------------------------------------------------------------
