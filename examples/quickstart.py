@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Quickstart: deploy TeaStore on a 128-logical-CPU server and load it.
 
-Builds the paper's platform, deploys the six-service TeaStore with the
-tuned default configuration, drives it with 1000 closed-loop browse users
+Builds the paper's platform, deploys the six-service TeaStore from its
+bundled spec (the tuned default sizing), drives it with 1000 closed-loop
+browse users
 for a few simulated seconds, and prints the headline metrics plus the
 per-service CPU breakdown.
 
@@ -12,8 +13,8 @@ Run:  python examples/quickstart.py
 from repro import (
     ClosedLoopWorkload,
     Deployment,
-    TeaStoreConfig,
-    build_teastore,
+    deploy_application,
+    get_app,
     run_experiment,
     single_socket_rome,
 )
@@ -25,11 +26,11 @@ def main() -> None:
     print()
 
     deployment = Deployment(machine, seed=42)
-    store = build_teastore(deployment, TeaStoreConfig())
+    store = deploy_application(deployment, get_app("teastore"))
     print(f"deployed: {store}")
 
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory(),
         n_users=1000, think_time=0.125)
     result = run_experiment(deployment, workload, warmup=1.0, duration=3.0)
 

@@ -15,9 +15,9 @@ from repro import (
     ClosedLoopWorkload,
     CpuSet,
     Deployment,
-    TeaStoreConfig,
-    build_teastore,
+    deploy_application,
     fit_usl,
+    get_app,
     run_experiment,
     single_socket_rome,
 )
@@ -27,9 +27,9 @@ CPU_COUNTS = (16, 32, 64, 96, 128)
 
 def measure(machine, online, users):
     deployment = Deployment(machine, seed=3, online=online)
-    store = build_teastore(deployment, TeaStoreConfig())
+    store = deploy_application(deployment, get_app("teastore"))
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory(),
         n_users=users, think_time=0.125)
     return run_experiment(deployment, workload, warmup=1.0, duration=2.5)
 

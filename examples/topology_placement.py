@@ -16,9 +16,9 @@ Run:  python examples/topology_placement.py
 from repro import (
     ClosedLoopWorkload,
     Deployment,
-    TeaStoreConfig,
-    build_teastore,
     ccx_aware_auto,
+    deploy_application,
+    get_app,
     run_experiment,
     single_socket_rome,
     unpinned,
@@ -29,12 +29,12 @@ USERS = 2000
 THINK_TIME = 0.125
 
 
-def measure(machine, allocation, label):
+def measure(machine, app, allocation, label):
     deployment = Deployment(machine, seed=7)
-    store = build_teastore(deployment, TeaStoreConfig(),
-                           placement=allocation.as_placement())
+    store = deploy_application(deployment, app,
+                               placement=allocation.as_placement())
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory(),
         n_users=USERS, think_time=THINK_TIME)
     result = run_experiment(deployment, workload, warmup=1.5, duration=3.0)
     print(f"{label:24s} {result}")
@@ -43,13 +43,12 @@ def measure(machine, allocation, label):
 
 def main() -> None:
     machine = single_socket_rome()
-    config = TeaStoreConfig()
-    counts = {name: config.replica_count(name)
-              for name in ("webui", "auth", "persistence", "image",
-                           "recommender", "db")}
+    app = get_app("teastore")
+    counts = {service.name: service.replicas for service in app.services}
 
     print("step 1: profile the tuned baseline")
-    baseline = measure(machine, unpinned(machine, counts), "tuned baseline")
+    baseline = measure(machine, app, unpinned(machine, counts),
+                       "tuned baseline")
 
     print("\nstep 2: derive CCX budgets from measured CPU weights")
     weights = weights_from_utilization(baseline.service_utilization)
@@ -62,7 +61,7 @@ def main() -> None:
     print(allocation.describe())
 
     print("\nstep 4: measure the optimized configuration")
-    optimized = measure(machine, allocation, "optimized")
+    optimized = measure(machine, app, allocation, "optimized")
 
     uplift = optimized.throughput / baseline.throughput - 1
     latency_cut = 1 - optimized.latency_mean / baseline.latency_mean

@@ -12,11 +12,8 @@ graph into data:
   and deploys it (:class:`Application`); byte-identical to the
   hand-written TeaStore handlers it replaced.
 * :mod:`~repro.apps.registry` — the bundled applications
-  (``teastore``, ``boutique``, ``socialnet``) and their committed JSON
-  spec files.
-* :mod:`~repro.apps.teastore_app`, :mod:`~repro.apps.boutique`,
-  :mod:`~repro.apps.socialnet` — the three built-in application
-  definitions.
+  (``teastore``, ``boutique``, ``socialnet``), each defined by its JSON
+  file under ``specs/``.
 """
 
 from repro.apps.registry import (

@@ -1,11 +1,12 @@
 """The bundled application registry.
 
-``get_app`` returns a validated :class:`ApplicationSpec` by name; the
-same specs ship as JSON files under ``specs/`` (one per application,
-regenerated by ``python -m repro.apps.registry``) so external tools can
-consume the schema without importing Python.  ``verify_bundled`` pins
-that the committed JSON files parse, validate, round-trip byte-stably,
-and match the in-code builders — CI runs it as the spec lint gate.
+Each bundled application is one JSON spec file under ``specs/``: the
+file is the application's only definition (services, demands, sizing,
+sessions, chaos bindings), so external tools can consume the schema
+without importing Python.  ``get_app`` loads a spec by name and applies
+the fast-preset sizing on request.  ``verify_bundled`` pins that the
+committed files parse, validate and round-trip byte-stably — CI runs it
+as the spec lint gate.
 """
 
 from __future__ import annotations
@@ -23,28 +24,9 @@ APP_NAMES = ("teastore", "boutique", "socialnet")
 SPEC_DIR = pathlib.Path(__file__).with_name("specs")
 
 
-def _builders():
-    from repro.apps.boutique import boutique_app
-    from repro.apps.socialnet import socialnet_app
-    from repro.apps.teastore_app import teastore_app
-    return {"teastore": lambda: teastore_app(),
-            "boutique": boutique_app,
-            "socialnet": socialnet_app}
-
-
 def get_app(name: str, fast: bool = False) -> ApplicationSpec:
-    """One bundled application spec (``fast`` applies test-scale sizing).
-
-    The TeaStore spec returned here carries its default calibration;
-    experiment code parameterizes it through
-    ``ExperimentSettings.application()`` instead, so the TeaStore config
-    knobs keep working.
-    """
-    builders = _builders()
-    if name not in builders:
-        raise ConfigurationError(
-            f"unknown application {name!r}; choose from {APP_NAMES}")
-    return builders[name]().sized(fast)
+    """One bundled application spec (``fast`` applies test-scale sizing)."""
+    return load_bundled(name).sized(fast)
 
 
 def spec_path(name: str) -> pathlib.Path:
@@ -61,9 +43,8 @@ def load_bundled(name: str) -> ApplicationSpec:
 
 
 def verify_bundled() -> list[str]:
-    """Check every bundled JSON file parses, round-trips byte-stably,
-    and matches its in-code builder.  Returns problem descriptions
-    (empty = all good)."""
+    """Check every bundled JSON file parses, validates and round-trips
+    byte-stably.  Returns problem descriptions (empty = all good)."""
     problems: list[str] = []
     for name in APP_NAMES:
         path = spec_path(name)
@@ -79,26 +60,5 @@ def verify_bundled() -> list[str]:
         if loaded.dumps() != text:
             problems.append(
                 f"{name}: {path.name} is not byte-stable canonical JSON "
-                f"(regenerate with: python -m repro.apps.registry)")
-        built = get_app(name)
-        if loaded.to_dict() != built.to_dict():
-            problems.append(
-                f"{name}: {path.name} diverges from the in-code builder "
-                f"(regenerate with: python -m repro.apps.registry)")
+                f"(rewrite it as ApplicationSpec.dumps() prints it)")
     return problems
-
-
-def write_bundled() -> list[pathlib.Path]:
-    """(Re)generate the bundled JSON spec files from the builders."""
-    SPEC_DIR.mkdir(exist_ok=True)
-    written = []
-    for name in APP_NAMES:
-        path = spec_path(name)
-        get_app(name).dump_file(path)
-        written.append(path)
-    return written
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for written_path in write_bundled():
-        print(f"wrote {written_path}")

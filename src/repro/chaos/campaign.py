@@ -59,15 +59,6 @@ if t.TYPE_CHECKING:  # pragma: no cover
     from repro.apps.spec import ApplicationSpec
 
 
-def _active_app(settings: ExperimentSettings) -> "ApplicationSpec | None":
-    """The spec catalog/targets resolve against (``None`` = TeaStore).
-
-    TeaStore maps to ``None`` so the default path reuses the cached
-    default spec and stays byte-identical to the pre-``--app`` runner.
-    """
-    return None if settings.app == "teastore" else settings.application()
-
-
 @dataclasses.dataclass
 class CellOutcome:
     """Everything one executed campaign cell exposes for analysis."""
@@ -150,7 +141,7 @@ def fault_window(scenario: Scenario, settings: ExperimentSettings,
 def run_cell(settings: ExperimentSettings, scenario: Scenario,
              mode: str) -> plan.Payload:
     """Execute one (scenario, mode) cell and fold in cascade + grade."""
-    app = _active_app(settings)
+    app = settings.application()
     target = scenario.target_for(app)
     schedule = scenario.schedule(settings, app)
     outcome = execute_cell(settings, schedule,
@@ -207,7 +198,7 @@ def sweep_points(settings: ExperimentSettings,
     eagerly, before any cell runs.
     """
     if scenarios is None:
-        scenarios = builtin_catalog(_active_app(settings))
+        scenarios = builtin_catalog(settings.application())
     modes = RESILIENCE_MODES if modes is None else modes
     points = []
     index = 0
@@ -286,7 +277,7 @@ def campaign_points(settings: ExperimentSettings,
     if scenario_names is None:
         scenarios = None
     else:
-        catalog = builtin_catalog(_active_app(settings))
+        catalog = builtin_catalog(settings.application())
         scenarios = [scenario_by_name(name, catalog)
                      for name in scenario_names]
     return sweep_points(settings, scenarios, modes)

@@ -38,6 +38,7 @@ import functools
 import typing as t
 
 from repro._errors import ConfigurationError
+from repro.apps.spec import CHAOS_ROLES
 from repro.workload.faults import FABRIC, FAULT_KINDS
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -58,8 +59,8 @@ BOTTLENECK_CLASSES = (
 @functools.lru_cache(maxsize=1)
 def _default_app() -> "ApplicationSpec":
     """TeaStore: the application scenarios resolve against by default."""
-    from repro.apps.teastore_app import teastore_app
-    return teastore_app()
+    from repro.apps.registry import get_app
+    return get_app("teastore")
 
 
 def call_graph(app: "ApplicationSpec | None" = None
@@ -90,11 +91,9 @@ def target_policies(app: "ApplicationSpec | None" = None
     }
 
 
-#: The TeaStore call graph and role bindings — the defaults every
-#: un-parameterized resolution uses (kept as module constants for
-#: backward compatibility; derived from the spec, not hand-written).
-CALL_GRAPH: dict[str, tuple[str, ...]] = call_graph()
-TARGET_POLICIES: dict[str, str] = target_policies()
+#: The role vocabulary of :func:`target_policies`, which scenarios are
+#: validated against before any application is resolved.
+POLICY_ROLES = (*CHAOS_ROLES, "fabric")
 
 
 def resolve_target(policy: str,
@@ -243,12 +242,12 @@ class Scenario:
         # Validate the policy *syntax* eagerly; the concrete service is
         # resolved against the active application at catalog load /
         # schedule time (scenarios are application-portable).
-        if self.target not in TARGET_POLICIES and not (
+        if self.target not in POLICY_ROLES and not (
                 self.target.startswith("service:")
                 and self.target[len("service:"):]):
             raise ConfigurationError(
                 f"unknown target policy {self.target!r}; choose from "
-                f"{tuple(sorted(TARGET_POLICIES))} or 'service:<name>'")
+                f"{tuple(sorted(POLICY_ROLES))} or 'service:<name>'")
         for fault in self.faults:
             kind = fault.get("kind")
             if kind not in FAULT_KINDS:

@@ -300,8 +300,7 @@ def _settings_for(args: argparse.Namespace,
         overrides["preset"] = "rome-2s"  # E10 needs two NUMA nodes
     if args.users is not None:
         overrides["users"] = args.users
-    if getattr(args, "app", "teastore") != "teastore":
-        overrides["app"] = args.app
+    overrides["app"] = getattr(args, "app", "teastore")
     if getattr(args, "cohort_factor", 1) != 1:
         overrides["cohort_factor"] = args.cohort_factor
     if getattr(args, "shards", 1) != 1:
@@ -475,8 +474,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
     )
 
     if args.list_scenarios:
-        app = (None if args.app == "teastore"
-               else _settings_for(args, "chaos").application())
+        app = _settings_for(args, "chaos").application()
         for scenario in catalog.builtin_catalog(app):
             faults = (", ".join(str(f["kind"]) for f in scenario.faults)
                       or "none")
@@ -492,9 +490,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
         settings = ExperimentSettings.from_dict(artifact["settings"])
         payloads = artifact["payloads"]
         reports = campaign.cascades_from_payloads(payloads)
-        graded_catalog = catalog.builtin_catalog(
-            None if settings.app == "teastore"
-            else settings.application())
+        graded_catalog = catalog.builtin_catalog(settings.application())
         failed = False
         for payload, report in zip(payloads, reports):
             scenario = catalog.scenario_by_name(payload["scenario"],

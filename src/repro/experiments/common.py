@@ -6,13 +6,12 @@ import dataclasses
 import typing as t
 
 from repro._errors import ConfigurationError
+from repro.apps.registry import get_app
 from repro.apps.runtime import Application, deploy_application
 from repro.apps.spec import ApplicationSpec
 from repro.memory.config import MemoryConfig
 from repro.placement.allocation import Allocation
 from repro.services.deployment import Deployment
-from repro.teastore.config import TeaStoreConfig
-from repro.teastore.store import TeaStore, build_teastore
 from repro.topology.cpuset import CpuSet
 from repro.topology.model import Machine
 from repro.topology.presets import machine_from_preset
@@ -83,31 +82,9 @@ class ExperimentSettings:
         """The machine this experiment runs on."""
         return machine_from_preset(self.preset)
 
-    def store_config(self, **overrides) -> TeaStoreConfig:
-        """A TeaStore configuration sized for this machine."""
-        if self.preset in ("medium", "small", "tiny"):
-            values: dict[str, t.Any] = dict(
-                replicas={"webui": 2, "auth": 1, "persistence": 2,
-                          "image": 1, "recommender": 1, "db": 1},
-                workers={"webui": 96, "auth": 16, "persistence": 32,
-                         "image": 32, "recommender": 16, "db": 32},
-            )
-        else:
-            values = {}
-        values.update(overrides)
-        return TeaStoreConfig(**values)
-
     def application(self) -> ApplicationSpec:
-        """The active application's spec, sized for this machine.
-
-        TeaStore flows through :meth:`store_config`, so its calibration
-        knobs keep working; the other bundled applications carry their
-        fast-preset sizing in the spec itself.
-        """
-        if self.app == "teastore":
-            from repro.apps.teastore_app import teastore_app
-            return teastore_app(self.store_config())
-        from repro.apps.registry import get_app
+        """The active application's spec, sized for this machine (the
+        spec's fast sizing on the ``medium``/``small``/``tiny`` presets)."""
         return get_app(self.app,
                        fast=self.preset in ("medium", "small", "tiny"))
 
@@ -188,7 +165,6 @@ def run_store(settings: ExperimentSettings,
               machine: Machine | None = None,
               online: CpuSet | None = None,
               allocation: Allocation | None = None,
-              store_config: TeaStoreConfig | None = None,
               counter_sink: t.Any | None = None,
               users: int | None = None,
               seed: int | None = None,
@@ -197,11 +173,9 @@ def run_store(settings: ExperimentSettings,
               ) -> tuple[RunResult, Deployment, Application]:
     """Deploy the active application and measure one default-load run.
 
-    TeaStore deploys per ``allocation``/``store_config`` under the
-    browse profile; other applications (``settings.app``) deploy their
-    spec sizing under their default session profile — the
-    allocation/store-config overrides are TeaStore-specific and raise
-    for them.
+    The application (``settings.app``) deploys its spec sizing unpinned,
+    or per ``allocation`` when one is given, and runs under its default
+    session profile.
 
     With ``settings.shards > 1`` the run is partitioned across shard
     deployments by :func:`repro.scale.executor.run_sharded`; the merged
@@ -210,15 +184,10 @@ def run_store(settings: ExperimentSettings,
     tuned-baseline path only — machine/placement overrides require
     ``shards == 1``.
     """
-    if settings.app != "teastore" and (allocation is not None
-                                       or store_config is not None):
-        raise ConfigurationError(
-            f"allocation/store_config overrides are TeaStore-specific; "
-            f"application {settings.app!r} does not support them")
     if settings.shards > 1:
         if any(override is not None
-               for override in (machine, online, allocation, store_config,
-                                counter_sink, smt_model, frequency_model)):
+               for override in (machine, online, allocation, counter_sink,
+                                smt_model, frequency_model)):
             raise ConfigurationError(
                 "sharded execution (settings.shards > 1) supports the "
                 "tuned-baseline run_store path only; drop the "
@@ -235,14 +204,10 @@ def run_store(settings: ExperimentSettings,
         counter_sink=counter_sink,
         smt_model=smt_model,
         frequency_model=frequency_model)
-    if settings.app == "teastore":
-        config = store_config or settings.store_config()
-        placement = (allocation.as_placement()
-                     if allocation is not None else None)
-        store: Application = build_teastore(deployment, config,
-                                            placement=placement)
-    else:
-        store = deploy_application(deployment, settings.application())
+    store = deploy_application(
+        deployment, settings.application(),
+        placement=(allocation.as_placement()
+                   if allocation is not None else None))
     workload = closed_workload(
         deployment, store.session_factory(),
         n_users=users if users is not None else settings.users,
@@ -257,26 +222,13 @@ def run_store(settings: ExperimentSettings,
 def build_application(settings: ExperimentSettings,
                       deployment: Deployment) -> Application:
     """Deploy the active application, untuned, on ``deployment``."""
-    if settings.app == "teastore":
-        return build_teastore(deployment, settings.store_config())
     return deploy_application(deployment, settings.application())
 
 
-def default_counts(settings: ExperimentSettings,
-                   store_config: TeaStoreConfig | None = None
-                   ) -> dict[str, int]:
-    """The tuned-baseline replica counts for this settings profile.
-
-    Snapshotted from the active application's services rather than the
-    TeaStore service-name constant, so non-TeaStore graphs report their
-    own services.
-    """
-    if store_config is not None:
-        from repro.apps.teastore_app import teastore_app
-        spec = teastore_app(store_config)
-    else:
-        spec = settings.application()
-    return {service.name: service.replicas for service in spec.services}
+def default_counts(settings: ExperimentSettings) -> dict[str, int]:
+    """The tuned-baseline replica counts of the active application."""
+    return {service.name: service.replicas
+            for service in settings.application().services}
 
 
 def percent(value: float) -> float:

@@ -17,10 +17,10 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
     Row,
+    build_application,
 )
 from repro.orchestrator import plan
 from repro.services.deployment import Deployment
-from repro.teastore.store import build_teastore
 from repro.tracing.collector import TraceCollector
 from repro.workload.cohorts import closed_workload
 
@@ -28,6 +28,9 @@ TITLE = "Per-service latency decomposition (traced, buy profile)"
 
 #: Endpoints decomposed by default.
 DEFAULT_ENDPOINTS = ("product", "category", "checkout")
+
+#: The session profile the traced users walk.
+SESSION = "buy"
 
 
 def run(settings: ExperimentSettings | None = None,
@@ -42,7 +45,12 @@ def run(settings: ExperimentSettings | None = None,
 def sweep_points(settings: ExperimentSettings,
                  endpoints: t.Sequence[str] = DEFAULT_ENDPOINTS
                  ) -> list[plan.SweepPoint]:
-    """One point: all endpoints decompose from a single traced run."""
+    """One point: all endpoints decompose from a single traced run.
+
+    An application without a :data:`SESSION` profile fails here, before
+    any point runs.
+    """
+    settings.application().session(SESSION)
     return [plan.SweepPoint(
         "e11", 0, "trace", "buy-profile", settings,
         params=(("endpoints", tuple(endpoints)),))]
@@ -54,13 +62,13 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
     machine = settings.machine()
     deployment = Deployment(machine, seed=settings.seed,
                             memory_config=settings.memory_config)
-    store = build_teastore(deployment, settings.store_config())
+    store = build_application(settings, deployment)
     # The buy profile exercises the checkout path the browse profile
     # lacks.  Moderate load (quarter of the saturating population): the
     # decomposition should expose the *structure* of page latency, not
     # the depth of saturation queues.
     workload = closed_workload(
-        deployment, store.buy_session_factory(),
+        deployment, store.session_factory(SESSION),
         n_users=max(64, settings.users // 4),
         think_time=settings.think_time,
         cohort_factor=settings.cohort_factor)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import typing as t
 
 from repro._errors import ConfigurationError
+from repro.apps.runtime import deploy_application
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
@@ -30,18 +31,12 @@ from repro.orchestrator import plan
 from repro.placement.policies import ccx_aware, unpinned
 from repro.services.deployment import Deployment
 from repro.spec.kernels import batch_kernel_profiles
-from repro.teastore.store import build_teastore
 from repro.topology.cpuset import CpuSet
 from repro.workload.batch import BatchKernelWorkload
 from repro.workload.cohorts import closed_workload
 from repro.workload.runner import run_experiment
 
 TITLE = "Co-location with a streaming batch neighbor"
-
-#: Demand weights for partitioning the store's CCX share (from E5).
-STORE_WEIGHTS = {"webui": 0.37, "auth": 0.08, "persistence": 0.14,
-                 "image": 0.15, "recommender": 0.07, "db": 0.19}
-
 
 #: Configurations in table order: (display name, neighbor mode).
 CONFIGS = (("store alone", "none"),
@@ -88,6 +83,7 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
         store_ccxs = store_ccxs | machine.cpus_in_ccx(ccx)
     neighbor_ccxs = machine.all_cpus() - store_ccxs
 
+    app = settings.application()
     counts = default_counts(settings)
     mode = point.param("mode")
     neighbor_affinity: CpuSet | None
@@ -98,14 +94,14 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
         allocation = unpinned(machine, counts)
         neighbor_affinity = machine.all_cpus()
     else:
-        allocation = ccx_aware(machine, counts, STORE_WEIGHTS,
+        allocation = ccx_aware(machine, counts, app.placement_weights(),
                                online=store_ccxs)
         neighbor_affinity = neighbor_ccxs
 
     deployment = Deployment(machine, seed=settings.seed,
                             memory_config=settings.memory_config)
-    store = build_teastore(deployment, settings.store_config(),
-                           placement=allocation.as_placement())
+    store = deploy_application(deployment, app,
+                               placement=allocation.as_placement())
     neighbor = None
     if neighbor_affinity is not None:
         neighbor = BatchKernelWorkload(
@@ -114,7 +110,7 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
             concurrency=point.param("concurrency"))
         neighbor.start()
     workload = closed_workload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory(),
         n_users=settings.users, think_time=settings.think_time,
         cohort_factor=settings.cohort_factor)
     workload.start()

@@ -32,17 +32,9 @@ from repro.orchestrator import plan
 from repro.placement.allocation import Allocation, ReplicaPlacement
 from repro.placement.policies import ccx_aware
 from repro.placement.scaling import ScalingCurve
-from repro.teastore.catalog import SERVICE_NAMES
 from repro.topology.model import Machine
 
 TITLE = "Per-service scale-up curves (CCX sweeps + USL fits)"
-
-#: Per-service CPU demand weights measured by E5 on the tuned baseline;
-#: used to budget the non-target services generously.
-DEMAND_WEIGHTS: dict[str, float] = {
-    "webui": 0.37, "auth": 0.08, "persistence": 0.14,
-    "image": 0.15, "recommender": 0.07, "db": 0.19,
-}
 
 #: Services swept by default, with their CCX ladders.
 DEFAULT_SWEEPS: dict[str, tuple[int, ...]] = {
@@ -79,7 +71,8 @@ def sweep_points(settings: ExperimentSettings,
     # sweep point, and never fewer than one CCX per service.
     total_ccxs = len(machine.ccxs)
     max_point = max(max(ladder) for ladder in sweeps.values())
-    others_budget = max(len(SERVICE_NAMES) - 1, total_ccxs - max_point)
+    services = settings.application().service_names()
+    others_budget = max(len(services) - 1, total_ccxs - max_point)
     if others_budget + max_point > total_ccxs:
         raise ConfigurationError(
             f"sweep up to {max_point} CCXs does not fit next to "
@@ -87,7 +80,7 @@ def sweep_points(settings: ExperimentSettings,
             f"({total_ccxs} total)")
     points: list[plan.SweepPoint] = []
     for service, ladder in sweeps.items():
-        if service not in SERVICE_NAMES:
+        if service not in services:
             raise ConfigurationError(f"unknown service {service!r}")
         for n_ccxs in ladder:
             points.append(plan.SweepPoint(
@@ -102,10 +95,11 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
     """Measure one (service, CCX-count) allocation."""
     settings = point.settings
     machine = settings.machine()
-    counts = default_counts(settings)
-    allocation = _target_allocation(machine, point.param("service"),
-                                    point.param("ccxs"), counts,
-                                    point.param("others_budget"))
+    allocation = _target_allocation(
+        machine, point.param("service"), point.param("ccxs"),
+        default_counts(settings),
+        settings.application().placement_weights(),
+        point.param("others_budget"))
     result, __, __ = run_store(settings, machine=machine,
                                allocation=allocation)
     return {
@@ -144,11 +138,13 @@ plan.register_sweep("e6", TITLE, points=sweep_points,
 
 def _target_allocation(machine: Machine, target: str, n_ccxs: int,
                        counts: t.Mapping[str, int],
+                       weights: t.Mapping[str, float],
                        others_budget: int) -> Allocation:
     """Target on the first ``n_ccxs`` CCXs (one replica per CCX); every
     other service keeps a *fixed* budget — the machine's top
-    ``others_budget`` CCXs — regardless of ``n_ccxs``, so the sweep
-    varies exactly one thing.  CCXs the target does not use stay idle."""
+    ``others_budget`` CCXs, split by the spec's demand ``weights`` —
+    regardless of ``n_ccxs``, so the sweep varies exactly one thing.
+    CCXs the target does not use stay idle."""
     total_ccxs = len(machine.ccxs)
     target_budget = total_ccxs - others_budget
     if not 1 <= n_ccxs <= target_budget:
@@ -165,7 +161,7 @@ def _target_allocation(machine: Machine, target: str, n_ccxs: int,
                                 range(total_ccxs - others_budget,
                                       total_ccxs))
     rest_counts = {service: counts[service] for service in others}
-    rest_weights = {service: DEMAND_WEIGHTS[service] for service in others}
+    rest_weights = {service: weights[service] for service in others}
     rest = ccx_aware(machine, rest_counts, rest_weights,
                      online=rest_online)
     placements = {service: list(rest.replicas(service))

@@ -1,10 +1,10 @@
 """E9 — Microarchitectural characterization vs SPEC-class workloads.
 
-Runs the TeaStore services under load and the SPEC-class batch kernels
-through the same synthetic-counter pipeline, producing the paper's
-contrast table: microservices show low IPC, heavy L1i pressure, and a
-large front-end-bound fraction — nothing like the loop kernels
-general-purpose server CPUs are tuned against.
+Runs the application's services (TeaStore by default) under load and
+the SPEC-class batch kernels through the same synthetic-counter
+pipeline, producing the paper's contrast table: microservices show low
+IPC, heavy L1i pressure, and a large front-end-bound fraction — nothing
+like the loop kernels general-purpose server CPUs are tuned against.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from repro.experiments.common import (
 from repro.metrics.hwcounters import CounterBank
 from repro.orchestrator import plan
 from repro.spec.kernels import KERNEL_NAMES, run_batch_kernels
-from repro.teastore.catalog import SERVICE_NAMES
 
 TITLE = "Microarchitectural characterization: TeaStore vs SPEC-class"
 
 
 def run(settings: ExperimentSettings | None = None,
         kernel_bursts: int = 150) -> ExperimentResult:
-    """One row per workload (six services + three kernels)."""
+    """One row per workload (the application's services + three
+    kernels)."""
     settings = settings or ExperimentSettings()
     points = sweep_points(settings, kernel_bursts)
     return assemble_sweep(settings,
@@ -42,7 +42,8 @@ def sweep_points(settings: ExperimentSettings,
     are independent and can run in separate processes.
     """
     return [
-        plan.SweepPoint("e9", 0, "services", "teastore-services", settings),
+        plan.SweepPoint("e9", 0, "services", f"{settings.app}-services",
+                        settings),
         plan.SweepPoint("e9", 1, "kernels", "spec-kernels", settings,
                         params=(("kernel_bursts", int(kernel_bursts)),)),
     ]
@@ -71,7 +72,7 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
     if point.kind == "services":
         run_store(settings, machine=machine, counter_sink=bank)
         rows = [_counter_row(bank, name, "microservice")
-                for name in SERVICE_NAMES]
+                for name in settings.application().service_names()]
     else:
         run_batch_kernels(machine, bank,
                           bursts_per_kernel=point.param("kernel_bursts"),

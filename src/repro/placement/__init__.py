@@ -11,7 +11,7 @@ The paper's headline gains come from two levers applied together:
 
 * :class:`~repro.placement.allocation.Allocation` — a validated mapping
   of service → replica affinities/home nodes, consumable by
-  :func:`repro.teastore.build_teastore`.
+  :func:`repro.apps.runtime.deploy_application`.
 * :mod:`~repro.placement.policies` — ``unpinned`` (OS default),
   ``node_spread`` (the performance-tuned baseline), ``socket_pack``,
   and ``ccx_aware`` (the paper's technique).

@@ -74,7 +74,9 @@ class Allocation:
                 for service, replicas in self._placements.items()}
 
     def as_placement(self) -> dict[str, list[tuple[CpuSet, int | None]]]:
-        """The mapping :func:`repro.teastore.build_teastore` consumes."""
+        """The ``placement`` mapping
+        :func:`repro.apps.runtime.deploy_application` consumes, for any
+        application."""
         return {service: [(r.affinity, r.home_node) for r in replicas]
                 for service, replicas in self._placements.items()}
 

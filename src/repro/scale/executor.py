@@ -350,7 +350,7 @@ def run_sharded(settings: ExperimentSettings,
 
     ``config`` defaults to the settings' ``shards``/``cohort_factor``
     with the standard coupling model (shared services come from the
-    active application's spec for non-TeaStore apps); ``jobs`` defaults to the
+    active application's spec); ``jobs`` defaults to the
     ``REPRO_SCALE_JOBS`` environment variable (else sequential).  The
     result is deterministic for fixed ``(settings, users, seed,
     config)`` regardless of ``jobs`` and cache state.
@@ -358,12 +358,9 @@ def run_sharded(settings: ExperimentSettings,
     users = settings.users if users is None else users
     seed = settings.seed if seed is None else seed
     if config is None:
-        values: dict[str, t.Any] = dict(shards=settings.shards,
-                                        cohort_factor=settings.cohort_factor)
-        if settings.app != "teastore":
-            values["shared_services"] = \
-                settings.application().shared_services
-        config = ScaleConfig(**values)
+        config = ScaleConfig(
+            shards=settings.shards, cohort_factor=settings.cohort_factor,
+            shared_services=settings.application().shared_services)
     if jobs is None:
         jobs = int(os.environ.get(JOBS_ENV, "1") or "1")
     plan = plan_shards(users, config, settings.warmup, settings.duration)

@@ -3,8 +3,9 @@
 Covers the :mod:`repro.apps` layer introduced with the cross-application
 family: eager spec validation (unknown call targets, cycles, negative
 demands, broken role bindings), byte-stable JSON round-trips, the
-bundled-spec lint gate, and per-application determinism smoke digests
-for the two non-TeaStore graphs on every kernel backend.
+bundled-spec lint gate, ``--app`` plumbing through the experiments, and
+per-application determinism smoke digests for the two non-TeaStore
+graphs on every kernel backend.
 """
 
 import dataclasses
@@ -18,7 +19,6 @@ from repro.apps import (
     APP_NAMES,
     deploy_application,
     get_app,
-    load_bundled,
     loads,
     verify_bundled,
 )
@@ -29,11 +29,13 @@ from repro.apps.spec import (
     SessionDef,
 )
 from repro.chaos.catalog import builtin_catalog, resolve_target
+from repro.experiments import e9_characterization, e11_latency_breakdown
 from repro.experiments.common import (
     ExperimentSettings,
     default_counts,
     run_store,
 )
+from repro.placement.policies import unpinned
 from repro.services.deployment import Deployment
 from repro.sim import kernel
 from repro.memory.profile import WorkloadProfile
@@ -187,11 +189,6 @@ def test_spec_round_trip_is_byte_stable(name):
     assert reloaded.to_dict() == spec.to_dict()
 
 
-@pytest.mark.parametrize("name", APP_NAMES)
-def test_bundled_file_matches_builder(name):
-    assert load_bundled(name).to_dict() == get_app(name).to_dict()
-
-
 def test_verify_bundled_reports_no_problems():
     assert verify_bundled() == []
 
@@ -244,10 +241,31 @@ def test_default_counts_follow_the_active_application():
         "frontend").replicas
 
 
-def test_run_store_rejects_teastore_overrides_for_other_apps():
-    from repro.teastore.config import TeaStoreConfig
-    with pytest.raises(ConfigurationError, match="TeaStore-specific"):
-        run_store(_settings("boutique"), store_config=TeaStoreConfig())
+def test_run_store_deploys_any_app_per_allocation():
+    settings = _settings("boutique")
+    counts = default_counts(settings)
+    counts["frontend"] += 1
+    counts["currency"] += 2
+    allocation = unpinned(settings.machine(), counts)
+    result, __, store = run_store(settings, allocation=allocation)
+    assert store.spec.name == "boutique"
+    assert store.replica_counts() == counts
+    assert result.completed > 0
+
+
+def test_e9_reports_the_active_apps_services():
+    settings = ExperimentSettings.fast(preset="tiny", users=64, warmup=0.1,
+                                       duration=0.9, app="boutique")
+    result = e9_characterization.run(settings, kernel_bursts=10)
+    services = [row["workload"] for row in result.rows
+                if row["class"] == "microservice"]
+    assert services == list(get_app("boutique").service_names())
+    assert len(result.rows) == len(services) + 3  # plus the kernels
+
+
+def test_e11_needs_the_buy_session_before_any_point_runs():
+    with pytest.raises(ConfigurationError, match="no session 'buy'"):
+        e11_latency_breakdown.sweep_points(_settings("boutique"))
 
 
 def test_replicas_error_names_the_apps_own_services():

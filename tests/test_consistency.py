@@ -1,13 +1,21 @@
 """Consistency invariants across the package: catalogs, exports, wiring."""
 
-import pytest
-
 import repro
+from repro.apps import get_app
 from repro.experiments import e3_core_scaling
 from repro.experiments.common import ExperimentSettings
-from repro.teastore import catalog
-from repro.teastore.services import build_specs
-from repro.teastore.profiles import BROWSE_TRANSITIONS, BUY_TRANSITIONS
+
+
+def _steps(service):
+    """``{endpoint: steps}`` of one bundled TeaStore service."""
+    return {endpoint.name: endpoint.steps
+            for endpoint in get_app("teastore").service(service).endpoints}
+
+
+def _demands(step):
+    """Every CPU demand one step declares (seconds at base clock)."""
+    return [value for key, value in step.items()
+            if key in ("demand", "hit_demand", "miss_demand")]
 
 
 def test_public_all_resolves():
@@ -19,41 +27,51 @@ def test_star_import_is_clean():
     namespace: dict = {}
     exec("from repro import *", namespace)  # noqa: S102 - deliberate
     assert "Deployment" in namespace
-    assert "build_teastore" in namespace
+    assert "deploy_application" in namespace
+    assert "get_app" in namespace
 
 
 def test_webui_parse_and_render_cover_same_endpoints():
-    assert set(catalog.WEBUI_PARSE) == set(catalog.WEBUI_RENDER)
+    # Every page parses the request first and renders the template last.
+    for steps in _steps("webui").values():
+        assert steps[0]["op"] == "compute"
+        assert steps[-1]["op"] == "compute"
 
 
 def test_persistence_ops_have_db_costs():
-    assert set(catalog.PERSISTENCE) == set(catalog.DB_COST)
+    # Every Persistence op ends in one DB query costed by its payload.
+    for steps in _steps("persistence").values():
+        [query] = [step for step in steps if step["op"] == "call"]
+        assert query["service"] == "db"
+        assert query["payload"] > 0
 
 
 def test_all_demand_constants_positive():
-    for mapping in (catalog.WEBUI_PARSE, catalog.WEBUI_RENDER,
-                    catalog.PERSISTENCE, catalog.DB_COST):
-        assert all(value > 0 for value in mapping.values())
-    for constant in (catalog.AUTH_VALIDATE, catalog.AUTH_LOGIN,
-                     catalog.AUTH_LOGOUT, catalog.IMAGE_HIT,
-                     catalog.IMAGE_MISS, catalog.IMAGE_PREVIEW_HIT,
-                     catalog.IMAGE_PREVIEW_MISS, catalog.RECOMMEND):
-        assert constant > 0
+    app = get_app("teastore")
+    demands = [demand
+               for service in app.services
+               for endpoint in service.endpoints
+               for step in endpoint.steps
+               for demand in _demands(step)]
+    assert len(demands) > 20
+    assert all(demand > 0 for demand in demands)
 
 
 def test_image_miss_costlier_than_hit():
-    assert catalog.IMAGE_MISS > catalog.IMAGE_HIT
-    assert catalog.IMAGE_PREVIEW_MISS > catalog.IMAGE_PREVIEW_HIT
-    assert catalog.IMAGE_PREVIEW_HIT < catalog.IMAGE_HIT  # thumbnails
+    [full] = _steps("image")["get"]
+    [preview] = _steps("image")["get_batch"]
+    assert full["miss_demand"] > full["hit_demand"]
+    assert preview["miss_demand"] > preview["hit_demand"]
+    assert preview["hit_demand"] < full["hit_demand"]  # thumbnails
 
 
 def test_webui_endpoints_match_catalog_and_profiles():
-    specs = build_specs()
-    webui_endpoints = set(specs["webui"].endpoints)
-    assert webui_endpoints == set(catalog.WEBUI_PARSE)
+    app = get_app("teastore")
+    webui_endpoints = set(app.service("webui").endpoint_names())
     # Every Markov state of both profiles is a real WebUI endpoint.
-    assert set(BROWSE_TRANSITIONS) <= webui_endpoints
-    assert set(BUY_TRANSITIONS) <= webui_endpoints
+    for session in app.sessions:
+        assert session.service == "webui"
+        assert set(session.transitions) <= webui_endpoints
 
 
 def test_cli_covers_every_experiment_module():

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.apps import get_app
 from repro.experiments import ExperimentSettings
 from repro.experiments import (
     ablations,
@@ -20,7 +21,6 @@ from repro.experiments import (
     e11_latency_breakdown,
 )
 from repro.experiments.common import format_table
-from repro.teastore.catalog import SERVICE_NAMES
 
 
 def fast(**overrides):
@@ -37,9 +37,11 @@ def test_settings_profiles():
     assert quick.users < full.users
 
 
-def test_store_config_sized_to_machine():
-    assert ExperimentSettings.fast().store_config().replica_count("webui") == 2
-    assert ExperimentSettings.full().store_config().replica_count("webui") == 4
+def test_application_sized_to_machine():
+    fast_app = ExperimentSettings.fast().application()
+    assert fast_app.service("webui").replicas == 2
+    assert ExperimentSettings.full().application().service(
+        "webui").replicas == 4
 
 
 def test_format_table_alignment_and_empty():
@@ -97,7 +99,7 @@ def test_e4_smt_gives_uplift():
 def test_e5_utilization_covers_all_services_and_sums_to_one():
     result = e5_utilization.run(fast())
     services = set(result.column("service"))
-    assert services == set(SERVICE_NAMES)
+    assert services == set(get_app("teastore").profiles())
     shares = result.column("cpu_share_pct")
     assert sum(shares) == pytest.approx(100.0)
     assert shares == sorted(shares, reverse=True)

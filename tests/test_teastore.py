@@ -3,61 +3,35 @@
 import pytest
 
 from repro._errors import ConfigurationError, WorkloadError
+from repro.apps import build_service_specs, deploy_application, get_app
 from repro.services import Deployment
-from repro.teastore import (
-    BROWSE_TRANSITIONS,
-    MarkovSessionProfile,
-    SERVICE_NAMES,
-    TeaStoreConfig,
-    browse_profile,
-    build_teastore,
-    service_profiles,
-)
-from repro.teastore.services import build_specs
 from repro.topology import small_numa_machine, tiny_machine
 from repro.workload import ClosedLoopWorkload, run_experiment
+from repro.workload.sessions import MarkovSessionProfile
+
+from ._apps import SMALL_REPLICAS, SMALL_WORKERS, browse_profile, teastore_spec
+
+#: The six modelled CPU-consuming TeaStore components.
+SERVICE_NAMES = ("webui", "auth", "persistence", "image", "recommender",
+                 "db")
 
 
-def small_config(**kwargs):
+def small_store(deployment, placement=None, steps=None):
     """A store sized for the 32-lcpu test machine."""
-    defaults = dict(
-        replicas={"webui": 2, "auth": 1, "persistence": 1, "image": 1,
-                  "recommender": 1, "db": 1},
-        workers={"webui": 32, "auth": 8, "persistence": 16, "image": 8,
-                 "recommender": 8, "db": 16},
-    )
-    defaults.update(kwargs)
-    return TeaStoreConfig(**defaults)
+    return deploy_application(deployment, teastore_spec(steps=steps),
+                              placement=placement)
 
 
 # ---------------------------------------------------------------------------
-# Config
+# Sizing
 # ---------------------------------------------------------------------------
 
 def test_config_defaults_cover_all_services():
-    config = TeaStoreConfig()
-    for name in SERVICE_NAMES:
-        assert config.replica_count(name) >= 1
-        assert config.worker_count(name) >= 1
-
-
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        TeaStoreConfig(replicas={"ghost": 1})
-    with pytest.raises(ConfigurationError):
-        TeaStoreConfig(replicas={"webui": 0})
-    with pytest.raises(ConfigurationError):
-        TeaStoreConfig(demand_scale=0.0)
-    with pytest.raises(ConfigurationError):
-        TeaStoreConfig(image_cache_hit_rate=1.5)
-    with pytest.raises(ConfigurationError):
-        TeaStoreConfig(db_read_serial_fraction=-0.1)
-
-
-def test_config_with_replicas_override():
-    config = TeaStoreConfig().with_replicas(webui=8)
-    assert config.replica_count("webui") == 8
-    assert config.replica_count("db") == 1
+    app = get_app("teastore")
+    assert app.service_names() == SERVICE_NAMES
+    for service in app.services:
+        assert service.replicas >= 1
+        assert service.workers >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +40,14 @@ def test_config_with_replicas_override():
 
 def test_browse_profile_states_match_webui_endpoints():
     profile = browse_profile()
-    specs = build_specs()
+    specs = build_service_specs(get_app("teastore"))
     webui_endpoints = set(specs["webui"].endpoints)
     assert set(profile.states) <= webui_endpoints
 
 
 def test_browse_transitions_rows_sum_to_one():
-    for state, nexts in BROWSE_TRANSITIONS.items():
+    transitions = get_app("teastore").session("browse").transitions
+    for state, nexts in transitions.items():
         assert sum(p for __, p in nexts) == pytest.approx(1.0)
 
 
@@ -95,7 +70,7 @@ def test_markov_walk_visits_only_known_states():
     factory = browse_profile().session_factory(deployment)
     session = factory(0)
     states = {next(session)[1] for __ in range(200)}
-    assert states <= set(BROWSE_TRANSITIONS)
+    assert states <= set(browse_profile().transitions)
     assert len(states) >= 4  # actually explores the profile
 
 
@@ -121,7 +96,7 @@ def test_stationary_mix_dominated_by_browsing():
 # ---------------------------------------------------------------------------
 
 def test_profiles_exist_for_all_services():
-    profiles = service_profiles()
+    profiles = get_app("teastore").profiles()
     assert set(profiles) == set(SERVICE_NAMES)
     for name, profile in profiles.items():
         assert profile.name == name
@@ -129,7 +104,7 @@ def test_profiles_exist_for_all_services():
 
 def test_microservice_profiles_are_frontend_hungry():
     # The characterization contrast rests on these relationships.
-    profiles = service_profiles()
+    profiles = get_app("teastore").profiles()
     for name in ("webui", "auth", "persistence"):
         assert profiles[name].frontend_intensity >= 0.5
         assert profiles[name].l1i_mpki >= 20.0
@@ -137,7 +112,7 @@ def test_microservice_profiles_are_frontend_hungry():
 
 
 def test_build_specs_cover_expected_endpoints():
-    specs = build_specs()
+    specs = build_service_specs(get_app("teastore"))
     assert set(specs) == set(SERVICE_NAMES)
     assert set(specs["webui"].endpoints) == {
         "home", "login", "category", "product", "add_to_cart", "logout",
@@ -152,16 +127,18 @@ def test_build_specs_cover_expected_endpoints():
 
 def test_build_teastore_default_replicas():
     deployment = Deployment(small_numa_machine(), seed=0)
-    store = build_teastore(deployment, small_config())
+    store = small_store(deployment)
     counts = store.replica_counts()
-    assert counts["webui"] == 2
-    assert counts["db"] == 1
+    assert counts == SMALL_REPLICAS
     assert len(deployment.instances) == sum(counts.values())
+    for name, width in SMALL_WORKERS.items():
+        assert all(instance.spec.workers == width
+                   for instance in store.replicas(name))
 
 
 def test_store_replicas_unknown_service_raises():
     deployment = Deployment(small_numa_machine(), seed=0)
-    store = build_teastore(deployment, small_config())
+    store = small_store(deployment)
     with pytest.raises(ConfigurationError):
         store.replicas("ghost")
 
@@ -171,7 +148,7 @@ def test_placement_missing_service_raises():
     deployment = Deployment(machine, seed=0)
     placement = {"webui": [(machine.all_cpus(), None)]}
     with pytest.raises(ConfigurationError):
-        build_teastore(deployment, small_config(), placement=placement)
+        small_store(deployment, placement=placement)
 
 
 def test_placement_controls_replicas_and_affinity():
@@ -183,7 +160,7 @@ def test_placement_controls_replicas_and_affinity():
     }
     placement["webui"] = [(machine.cpus_in_node(0), 0),
                           (machine.cpus_in_node(1), 1)]
-    store = build_teastore(deployment, small_config(), placement=placement)
+    store = small_store(deployment, placement=placement)
     assert store.replica_counts()["webui"] == 2
     assert store.replicas("webui")[1].home_node == 1
     assert store.replicas("db")[0].affinity == machine.cpus_in_node(0)
@@ -191,7 +168,7 @@ def test_placement_controls_replicas_and_affinity():
 
 def test_single_browse_request_end_to_end():
     deployment = Deployment(small_numa_machine(), seed=0)
-    build_teastore(deployment, small_config())
+    small_store(deployment)
     done = deployment.dispatch("webui", "product")
     deployment.run()
     assert done.ok
@@ -204,9 +181,9 @@ def test_single_browse_request_end_to_end():
 
 def test_store_under_load_produces_sane_metrics():
     deployment = Deployment(small_numa_machine(), seed=3)
-    store = build_teastore(deployment, small_config())
+    store = small_store(deployment)
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory("browse"),
         n_users=32, think_time=0.05)
     result = run_experiment(deployment, workload, warmup=1.0, duration=3.0)
     assert result.throughput > 50
@@ -224,12 +201,11 @@ def test_db_serialization_caps_persistence_scaling():
     serial fraction must cap throughput well below linear."""
     def run(serial_fraction):
         deployment = Deployment(small_numa_machine(), seed=5)
-        config = small_config(
-            db_read_serial_fraction=serial_fraction,
-            db_write_serial_fraction=serial_fraction)
-        store = build_teastore(deployment, config)
+        store = small_store(deployment, steps={
+            ("db", "read"): {"serial_fraction": serial_fraction},
+            ("db", "write"): {"serial_fraction": serial_fraction}})
         workload = ClosedLoopWorkload(
-            deployment, store.browse_session_factory(),
+            deployment, store.session_factory("browse"),
             n_users=64, think_time=0.0)
         return run_experiment(deployment, workload,
                               warmup=1.0, duration=2.0).throughput
@@ -240,10 +216,10 @@ def test_db_serialization_caps_persistence_scaling():
 def test_image_cache_hit_rate_changes_cost():
     def run(hit_rate):
         deployment = Deployment(small_numa_machine(), seed=7)
-        store = build_teastore(
-            deployment, small_config(image_cache_hit_rate=hit_rate))
+        store = small_store(deployment, steps={
+            ("image", "get"): {"hit_rate": hit_rate}})
         workload = ClosedLoopWorkload(
-            deployment, store.browse_session_factory(),
+            deployment, store.session_factory("browse"),
             n_users=48, think_time=0.0)
         return run_experiment(deployment, workload,
                               warmup=1.0, duration=2.0)
@@ -259,9 +235,9 @@ def test_same_process_rerun_is_bit_identical():
     (this once broke via the image batch sampler)."""
     def once():
         deployment = Deployment(small_numa_machine(), seed=9)
-        store = build_teastore(deployment, small_config())
+        store = small_store(deployment)
         workload = ClosedLoopWorkload(
-            deployment, store.browse_session_factory(),
+            deployment, store.session_factory("browse"),
             n_users=16, think_time=0.02)
         result = run_experiment(deployment, workload,
                                 warmup=0.5, duration=1.0)
@@ -272,9 +248,9 @@ def test_same_process_rerun_is_bit_identical():
 
 def test_buy_profile_exercises_checkout():
     deployment = Deployment(small_numa_machine(), seed=4)
-    store = build_teastore(deployment, small_config())
+    store = small_store(deployment)
     workload = ClosedLoopWorkload(
-        deployment, store.buy_session_factory(),
+        deployment, store.session_factory("buy"),
         n_users=24, think_time=0.02)
     result = run_experiment(deployment, workload, warmup=0.8, duration=2.0)
     assert result.errors == 0
@@ -286,20 +262,20 @@ def test_buy_profile_exercises_checkout():
 
 
 def test_buy_profile_stresses_db_more_than_browse():
-    def share(factory_name):
+    def share(session):
         deployment = Deployment(small_numa_machine(), seed=4)
-        store = build_teastore(deployment, small_config())
-        factory = getattr(store, factory_name)()
+        store = small_store(deployment)
+        factory = store.session_factory(session)
         workload = ClosedLoopWorkload(deployment, factory,
                                       n_users=48, think_time=0.0)
         result = run_experiment(deployment, workload,
                                 warmup=0.8, duration=2.0)
         return result.service_share["db"]
 
-    assert share("buy_session_factory") > share("browse_session_factory")
+    assert share("buy") > share("browse")
 
 
 def test_store_repr_lists_counts():
     deployment = Deployment(small_numa_machine(), seed=0)
-    store = build_teastore(deployment, small_config())
+    store = small_store(deployment)
     assert "webui×2" in repr(store)
