@@ -84,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "apps", help="list the bundled application specs")
     apps.add_argument("--validate", action="store_true",
                       help="check the committed JSON spec files parse, "
-                           "round-trip byte-stably, and match their "
-                           "builders; exit 1 on any problem")
+                           "validate, and round-trip byte-stably; exit 1 "
+                           "on any problem")
     apps.add_argument("--json", metavar="NAME", default=None,
                       help="print one application's canonical JSON spec")
 
@@ -139,9 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--log", metavar="FILE", default=None,
                        help="JSONL run log "
                             "(default: <cache-dir>/last-sweep.jsonl)")
-    sweep.add_argument("--bench", metavar="FILE",
-                       default="BENCH_sweep.json",
-                       help="sweep-perf artifact ('' disables)")
+    sweep.add_argument("--bench", metavar="FILE", default=None,
+                       help="also append sweep telemetry to the "
+                            "trajectory artifact FILE")
     sweep.add_argument("--markdown", metavar="FILE", default=None,
                        help="also write a markdown report to FILE")
     _add_kernel_argument(sweep)
@@ -190,59 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--markdown", metavar="FILE", default=None,
                        help="also write a markdown report to FILE")
     _add_kernel_argument(chaos)
-
-    perfbench = subparsers.add_parser(
-        "perfbench",
-        help="time canonical E2/E8/E13 slices and append to the "
-             "wall-clock perf trajectory")
-    perfbench.add_argument("--mode", default="smoke",
-                           choices=("smoke", "full"),
-                           help="smoke: seconds-scale CI slices; "
-                                "full: fast-profile experiment scale")
-    perfbench.add_argument("--slice", action="append", default=None,
-                           dest="slices", metavar="NAME",
-                           help="limit to one slice (repeatable); "
-                                "default: all")
-    perfbench.add_argument("--repeat", type=int, default=None,
-                           help="repeats per slice (default: 2 smoke, "
-                                "3 full; min is reported)")
-    perfbench.add_argument("--mem", action="store_true",
-                           help="profile peak memory (tracemalloc + "
-                                "RUSAGE RSS) instead of wall time")
-    perfbench.add_argument("--extended", action="store_true",
-                           help="include extended slices (e.g. the "
-                                "10k-user E2 point in full mode)")
-    perfbench.add_argument("--out", metavar="FILE",
-                           default="BENCH_perf.json",
-                           help="trajectory artifact to append to "
-                                "('' disables writing)")
-    perfbench.add_argument("--label", default=None,
-                           help="label for the trajectory entry "
-                                "(default: short git SHA, or 'manual' "
-                                "outside a work tree)")
-    perfbench.add_argument("--check", metavar="FILE", default=None,
-                           help="compare against the newest same-mode "
-                                "entry in FILE; exit 1 on regression")
-    perfbench.add_argument("--threshold", type=float, default=None,
-                           help="allowed slowdown fraction for --check "
-                                "(default 0.25)")
-    perfbench.add_argument("--profile", action="store_true",
-                           help="run each slice once under cProfile and "
-                                "print the hottest functions instead of "
-                                "recording a trajectory entry")
-    perfbench.add_argument("--top", type=int, default=20, metavar="N",
-                           help="functions shown per --profile report "
-                                "(default 20)")
-    perfbench.add_argument("--profile-json", metavar="FILE", default=None,
-                           dest="profile_json",
-                           help="profile each slice and write the top-N "
-                                "hotspot tables as a JSON artifact to "
-                                "FILE (no trajectory entry is recorded)")
-    perfbench.add_argument("--list-slices", action="store_true",
-                           help="print every known mode*slice (standard "
-                                "and extended) and exit")
-    _add_app_argument(perfbench)
-    _add_kernel_argument(perfbench)
     return parser
 
 
@@ -341,9 +288,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
 
     if args.command == "chaos":
         return _run_chaos(args)
-
-    if args.command == "perfbench":
-        return _run_perfbench(args)
 
     experiment_ids = (sorted(EXPERIMENTS) if args.experiment == "all"
                       else [args.experiment])
@@ -536,93 +480,6 @@ def _run_chaos(args: argparse.Namespace) -> int:
         with open(args.markdown, "w", encoding="utf-8") as handle:
             handle.write(report)
         print(f"markdown report written to {args.markdown}")
-    return 0
-
-
-def _run_perfbench(args: argparse.Namespace) -> int:
-    """The ``repro perfbench`` verb: wall/memory trajectory + gates."""
-    from repro.orchestrator import perfbench
-
-    if args.list_slices:
-        for row in perfbench.list_slices():
-            kind = "extended" if row["extended"] else "standard"
-            scale = ""
-            if row["scale"] is not None:
-                scale = (f" [shards={row['scale']['shards']} "
-                         f"cohort_factor={row['scale']['cohort_factor']}]")
-            print(f"{row['mode']}/{row['name']:10s} {kind:8s} "
-                  f"{row['description']}{scale}")
-        return 0
-    if args.profile or args.profile_json:
-        if args.profile:
-            for name in perfbench._resolve_names(args.mode, args.slices,
-                                                 args.extended, args.app):
-                print(perfbench.profile_slice(args.mode, name,
-                                              top=args.top, app=args.app))
-        if args.profile_json:
-            import json as json_mod
-            import pathlib
-            payload = perfbench.profile_artifact(
-                args.mode, slices=args.slices, extended=args.extended,
-                top=args.top, app=args.app, label=args.label)
-            target = pathlib.Path(args.profile_json)
-            if target.parent != pathlib.Path(""):
-                target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(json_mod.dumps(payload, indent=2) + "\n",
-                              encoding="utf-8")
-            print(f"profile artifact written to {args.profile_json}")
-        return 0
-    if args.mem:
-        return _run_membench(args)
-    results = perfbench.run_perfbench(
-        args.mode, slices=args.slices, repeat=args.repeat,
-        extended=args.extended, progress=print, app=args.app)
-    if args.out:
-        entry = perfbench.trajectory_entry(results, args.mode,
-                                           label=args.label, app=args.app)
-        perfbench.append_trajectory(args.out, entry)
-        print(f"perf trajectory appended to {args.out}")
-    if args.check is not None:
-        baseline = perfbench.baseline_entry(args.check, args.mode,
-                                            app=args.app)
-        threshold = (args.threshold if args.threshold is not None
-                     else perfbench.DEFAULT_THRESHOLD)
-        failures = perfbench.check_against_baseline(results, baseline,
-                                                    threshold)
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"perf gate passed (threshold {threshold:.0%} vs "
-              f"{args.check})")
-    return 0
-
-
-def _run_membench(args: argparse.Namespace) -> int:
-    """``repro perfbench --mem``: peak-memory trajectory + gate."""
-    from repro.orchestrator import perfbench
-
-    results = perfbench.run_membench(
-        args.mode, slices=args.slices, extended=args.extended,
-        progress=print, app=args.app)
-    if args.out:
-        entry = perfbench.memory_entry(results, args.mode,
-                                       label=args.label, app=args.app)
-        perfbench.append_trajectory(args.out, entry)
-        print(f"memory trajectory appended to {args.out}")
-    if args.check is not None:
-        baseline = perfbench.baseline_entry(args.check, args.mode,
-                                            metric="mem", app=args.app)
-        threshold = (args.threshold if args.threshold is not None
-                     else perfbench.DEFAULT_MEM_THRESHOLD)
-        failures = perfbench.check_memory_against_baseline(
-            results, baseline, threshold)
-        for failure in failures:
-            print(f"MEMORY REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"memory gate passed (threshold {threshold:.0%} vs "
-              f"{args.check})")
     return 0
 
 

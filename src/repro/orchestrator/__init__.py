@@ -14,10 +14,8 @@ order — into the exact tables the sequential ``run()`` path produces.
   result store under ``.repro-cache/``;
 * :mod:`~repro.orchestrator.progress` — human progress lines plus a
   machine-readable JSONL run log;
-* :mod:`~repro.orchestrator.bench` — the ``BENCH_sweep.json`` artifact;
-* :mod:`~repro.orchestrator.perfbench` — the ``BENCH_perf.json``
-  wall-clock trajectory (``repro perfbench``) and its CI regression
-  gate.
+* :mod:`~repro.orchestrator.bench` — the sweep-telemetry trajectory
+  artifact (``repro sweep --bench FILE``).
 
 Determinism is the correctness bar: each point carries its own settings
 and seed, no state crosses process boundaries, and every payload is

@@ -1,18 +1,17 @@
-"""The ``BENCH_sweep.json`` artifact: a sweep-performance trajectory.
+"""The sweep-telemetry artifact: a sweep-performance trajectory.
 
-Every ``repro sweep`` invocation records wall time, worker count, cache
+``repro sweep --bench FILE`` records wall time, worker count, cache
 hits, and throughput (points/second) per experiment plus totals, so
 future PRs have a perf baseline to compare orchestrator changes
-against.
+against (the committed one is ``BENCH_sweep.json``).
 
-Schema v2 keeps a *trajectory* — one entry per invocation — with the
-same rotation discipline as ``BENCH_perf.json``: the newest
-:data:`_KEEP_PER_GROUP` entries per ``(experiments, jobs)`` group plus
-the artifact's first-ever entry survive, so the committed file stays
-bounded no matter how often sweeps run.  v1 artifacts (a single
-overwritten snapshot) are migrated transparently: the old snapshot
-becomes the trajectory's first entry, preserving the oldest recorded
-numbers as the fixed reference point.
+Schema v2 keeps a *trajectory* — one entry per invocation — rotated so
+that the newest :data:`_KEEP_PER_GROUP` entries per
+``(experiments, jobs)`` group plus the artifact's first-ever entry
+survive, so the file stays bounded no matter how often sweeps run.
+v1 artifacts (a single overwritten snapshot) are migrated
+transparently: the old snapshot becomes the trajectory's first entry,
+preserving the oldest recorded numbers as the fixed reference point.
 """
 
 from __future__ import annotations
@@ -55,11 +54,6 @@ def bench_entry(stats: "t.Sequence[SweepStats]",
                                   if total_wall > 0 else 0.0),
         },
     }
-
-
-#: Backwards-compatible alias (the v1 name; same entry shape minus the
-#: artifact envelope, which now lives on the trajectory file).
-bench_payload = bench_entry
 
 
 def _entry_key(entry: dict[str, t.Any]) -> tuple[tuple[str, ...], int]:

@@ -92,17 +92,6 @@ def test_run_with_explicit_kernel(capsys, monkeypatch):
     assert kernel.resolve_backend() == "python"
 
 
-def test_perfbench_profile_prints_report(capsys, monkeypatch):
-    from repro.sim import kernel
-
-    monkeypatch.delenv(kernel.KERNEL_ENV, raising=False)
-    assert main(["perfbench", "--mode", "smoke", "--slice", "e13",
-                 "--profile", "--top", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "profile smoke/e13" in out
-    assert "cumulative" in out
-
-
 def test_run_with_scale_flags(capsys):
     assert main(["run", "e2", "--fast", "--users", "60",
                  "--shards", "2", "--cohort-factor", "5"]) == 0
@@ -134,12 +123,3 @@ def test_sweep_accepts_scale_flags():
     settings = cli._settings_for(args, "e2")
     assert settings.shards == 2
     assert settings.cohort_factor == 10
-
-
-def test_perfbench_list_slices(capsys):
-    assert main(["perfbench", "--list-slices"]) == 0
-    out = capsys.readouterr().out
-    assert "e2-100k" in out
-    assert "e2-1m" in out
-    assert "extended" in out
-    assert "shards=8" in out and "cohort_factor=250" in out

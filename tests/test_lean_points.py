@@ -96,8 +96,6 @@ def test_smoke_point_runs_with_scipy_blocked():
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from repro.cli import main\n"
-        "raise SystemExit(main(['perfbench', '--mode', 'smoke',\n"
-        "                       '--slice', 'e2', '--repeat', '1',\n"
-        "                       '--out', '']))\n")
+        "raise SystemExit(main(['run', 'e2', '--fast']))\n")
     assert proc.returncode == 0, proc.stderr
-    assert "slice e2" in proc.stdout
+    assert "[E2]" in proc.stdout

@@ -17,11 +17,7 @@ from repro.orchestrator import (
 import pytest
 
 from repro._errors import ConfigurationError
-from repro.orchestrator.bench import (
-    append_bench_entry,
-    bench_entry,
-    bench_payload,
-)
+from repro.orchestrator.bench import append_bench_entry, bench_entry
 from repro.report import build_report, sweep_section
 
 
@@ -92,7 +88,7 @@ def test_progress_reporter_events_and_lines():
 
 def test_bench_payload_shape():
     stats = run_sweep("e1", tiny()).stats
-    entry = bench_payload([stats], jobs=3)
+    entry = bench_entry([stats], jobs=3)
     assert entry["jobs"] == 3
     assert entry["experiments"][0]["experiment"] == "e1"
     totals = entry["totals"]
@@ -146,10 +142,6 @@ def test_bench_rejects_foreign_artifacts(tmp_path):
                                   "version": 99}))
     with pytest.raises(ConfigurationError):
         append_bench_entry(target, _fake_entry("e2", 1, "x"))
-
-
-def test_bench_entry_alias_is_stable():
-    assert bench_payload is bench_entry
 
 
 def test_report_includes_sweep_telemetry():
