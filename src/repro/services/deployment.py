@@ -178,9 +178,8 @@ class Deployment:
             raise ConfigurationError(
                 f"no such service: {service_name!r}; "
                 f"known: {self.registry.service_names}")
-        outer = self.sim.event()
-        self.sim.process(self._resilient_call(
-            service_name, endpoint, payload, parent, outer))
+        outer = Event(self.sim)
+        _ResilientCall(self, service_name, endpoint, payload, parent, outer)
         return outer
 
     def _fallback_for(self, service_name: str, endpoint: str) -> object:
@@ -190,105 +189,249 @@ class Deployment:
             return _NO_FALLBACK
         return spec.fallback_for(endpoint)
 
-    def _resilient_call(self, service_name: str, endpoint: str,
-                        payload: object, parent: Request | None,
-                        outer: Event) -> t.Generator:
-        """One logical call: attempts, backoff, breakers, degradation.
-
-        ``outer`` resolves exactly once — with the response, with a
-        fallback payload (degraded), or with the last attempt's failure.
-
-        The deadline spans the *whole logical call* (gRPC semantics),
-        not each attempt: an attempt that burns the budget waiting is
-        terminal, while fast failures — shed at a dead replica, every
-        breaker open, the service deregistered — leave the budget intact
-        and are worth retrying.  This is what keeps retry storms from
-        multiplying the very timeouts they are meant to mask.
-        """
-        config = t.cast(ResilienceConfig, self.resilience)
-        policy = t.cast(RetryPolicy, self._retry_policy)
-        stats = self.resilience_stats
-        stats.calls += 1
-        deadline = (self.sim.now + config.timeout
-                    if config.timeout is not None else None)
-        attempt = 0
-        last_error: Exception = ConfigurationError(
-            f"call to {service_name}/{endpoint} never attempted")
-        while True:
-            attempt += 1
-            stats.attempts += 1
-            done = self.sim.event()
-            request = Request(service_name, endpoint, done, payload=payload,
-                              parent=parent, created_at=self.sim.now,
-                              attempt=attempt, deadline=deadline)
-            instance: ServiceInstance | None = None
-            failure: Exception | None = None
-            try:
-                instance = self.registry.lookup(service_name,
-                                                now=self.sim.now)
-            except ConfigurationError as exc:
-                # The service is known but every replica is gone.
-                failure = exc
-                stats.failures += 1
-            except ServiceUnavailableError as exc:
-                # Every accepting replica is circuit-open: fail fast.
-                failure = exc
-                stats.breaker_rejected += 1
-            if instance is not None:
-                if instance.breaker is not None:
-                    instance.breaker.note_dispatch(self.sim.now)
-                self.rpc.deliver(request, instance)
-                value: object = None
-                if deadline is None:
-                    try:
-                        value = yield done
-                    except Exception as exc:
-                        failure = exc
-                        stats.failures += 1
-                else:
-                    race = done | self.sim.timeout(deadline - self.sim.now)
-                    try:
-                        winners = t.cast(dict, (yield race))
-                    except Exception as exc:
-                        failure = exc
-                        stats.failures += 1
-                    else:
-                        if done in winners:
-                            value = winners[done]
-                        else:
-                            stats.timeouts += 1
-                            failure = DeadlineExceededError(
-                                f"{service_name}/{endpoint} missed its "
-                                f"{config.timeout}s deadline "
-                                f"(attempt {attempt})")
-                if failure is None:
-                    stats.successes += 1
-                    if instance.breaker is not None:
-                        instance.breaker.record_success(self.sim.now)
-                    outer.succeed(value)
-                    return
-                if instance.breaker is not None:
-                    instance.breaker.record_failure(self.sim.now)
-            last_error = t.cast(Exception, failure)
-            if deadline is not None and self.sim.now >= deadline:
-                break  # budget burned; the deadline covers all attempts
-            if not policy.should_retry(attempt, stats):
-                break
-            delay = policy.backoff(service_name, attempt)
-            if deadline is not None and self.sim.now + delay >= deadline:
-                break  # backing off would outlive the deadline
-            stats.retries += 1
-            if delay > 0:
-                yield self.sim.timeout(delay)
-        if config.degradation:
-            fallback = self._fallback_for(service_name, endpoint)
-            if fallback is not _NO_FALLBACK:
-                stats.degraded += 1
-                outer.succeed(fallback)
-                return
-        stats.errors += 1
-        outer.fail(last_error)
-
     def run(self, until: float | None = None) -> None:
         """Advance the simulation."""
         self.sim.run(until=until)
+
+
+#: What a relay event carries when the deadline, not the response, won
+#: an attempt's race.
+_DEADLINE = object()
+
+
+def _lookup(registry: ServiceRegistry, service_name: str, now: float,
+            stats: ResilienceStats
+            ) -> tuple[ServiceInstance | None, Exception | None]:
+    """``registry.lookup`` with the two failures a call survives
+    returned, not raised: ``(replica, None)`` or ``(None, error)``.
+
+    A module function, not a method, so the caught error's traceback
+    holds no frame that references the call: the call keeps the error
+    as its last one, and a frame holding the call would close a cycle.
+    """
+    try:
+        return registry.lookup(service_name, now=now), None
+    except ConfigurationError as exc:
+        # The service is known but every replica is gone.
+        stats.failures += 1
+        return None, exc
+    except ServiceUnavailableError as exc:
+        # Every accepting replica is circuit-open: fail fast.
+        stats.breaker_rejected += 1
+        return None, exc
+
+
+class _ResilientCall:
+    """One logical resilient call: attempts, backoff, breakers, degradation.
+
+    ``outer`` resolves exactly once — with the response, with a
+    fallback payload (degraded), or with the last attempt's failure.
+
+    The deadline spans the *whole logical call* (gRPC semantics), not
+    each attempt: an attempt that burns the budget waiting is terminal,
+    while fast failures — shed at a dead replica, every breaker open,
+    the service deregistered — leave the budget intact and are worth
+    retrying.  This is what keeps retry storms from multiplying the very
+    timeouts they are meant to mask.
+
+    The call is an event-callback machine, as :class:`_WorkerMachine`
+    is for the worker loop: it registers itself as the callback of the
+    events it waits for, so a call allocates no generator frame,
+    ``Process``, ``Timeout`` or ``AnyOf``.  It puts the same entries
+    into the kernel at the same points as the ``Process`` it replaced —
+    the bootstrap event; per attempt under a deadline, a deadline entry
+    and a relay event where the ``AnyOf`` succeeded or failed; per
+    backoff, a heap entry; ``outer``'s trigger — minus the finished
+    process's own no-op trigger, so every entry keeps its
+    (time, counter) order.  docs/RESILIENCE.md ("How a call runs") says
+    why each entry stays and how the race keeps the ``AnyOf``'s rules.
+    """
+
+    __slots__ = ("deployment", "sim", "service_name", "endpoint", "payload",
+                 "parent", "outer", "deadline", "attempt", "instance",
+                 "done", "timer", "wake", "last_error")
+
+    def __init__(self, deployment: Deployment, service_name: str,
+                 endpoint: str, payload: object, parent: Request | None,
+                 outer: Event):
+        self.deployment = deployment
+        self.sim = deployment.sim
+        self.service_name = service_name
+        self.endpoint = endpoint
+        self.payload = payload
+        self.parent = parent
+        self.outer = outer
+        self.deadline: float | None = None
+        self.attempt = 0
+        #: The replica serving the attempt in flight.
+        self.instance: ServiceInstance | None = None
+        #: The attempt's completion event while its race is open.
+        self.done: Event | None = None
+        #: The attempt's deadline entry while its race is open.
+        self.timer: t.Any = None
+        self.last_error: Exception | None = None
+        # The bootstrap event.
+        self._new_wake().succeed()
+
+    def _new_wake(self) -> Event:
+        """A bootstrap or relay event, waking this call when processed."""
+        wake = self.wake = Event(self.sim)
+        wake.callbacks.append(self)  # type: ignore[union-attr]
+        return wake
+
+    def __call__(self, event: Event) -> None:
+        try:
+            if event is self.done:
+                self.done = None
+                timer = self.timer
+                if timer is None:
+                    # No deadline: the response settles the attempt.
+                    self._settle(event)
+                    return
+                # The response beat the deadline: relay its result.
+                timer.cancel()
+                self.timer = None
+                if event._ok:
+                    self._new_wake().succeed(event._value)
+                else:
+                    event._defused = True
+                    self._new_wake().fail(event._value)  # type: ignore
+            elif event is self.wake:
+                self.wake = None
+                if self.attempt:
+                    self._settle(event)
+                    return
+                # Bootstrap: the call starts.
+                deployment = self.deployment
+                deployment.resilience_stats.calls += 1
+                timeout = deployment.resilience.timeout  # type: ignore
+                if timeout is not None:
+                    self.deadline = self.sim.now + timeout
+                self._attempt()
+            elif not event._ok:
+                # A response that lost its race to the deadline: claim
+                # its failure, as the AnyOf did.
+                event._defused = True
+        except BaseException as exc:
+            # Escalate as the failed process did: an unclaimed failed
+            # event, raised out of Simulator.run on the next slot.
+            Event(self.sim).fail(exc)
+
+    def _expire(self) -> None:
+        """The deadline fired with the attempt's race still open."""
+        # Drop the fired handle: it holds this bound method.
+        self.timer = None
+        done: t.Any = self.done
+        self.done = None
+        # The AnyOf's rule: a response triggered but not yet processed
+        # still wins.
+        self._new_wake().succeed(done._value if done._ok else _DEADLINE)
+
+    def _attempt(self) -> None:
+        """Send attempts until one is in flight or the call backs off or
+        ends; a failed lookup retries at once."""
+        deployment = self.deployment
+        sim = self.sim
+        stats = deployment.resilience_stats
+        deadline = self.deadline
+        while True:
+            self.attempt = attempt = self.attempt + 1
+            stats.attempts += 1
+            now = sim.now
+            done = Event(sim)
+            request = Request(self.service_name, self.endpoint, done,
+                              payload=self.payload, parent=self.parent,
+                              created_at=now, attempt=attempt,
+                              deadline=deadline)
+            instance, failure = _lookup(deployment.registry,
+                                        self.service_name, now, stats)
+            if instance is not None:
+                if instance.breaker is not None:
+                    instance.breaker.note_dispatch(now)
+                deployment.rpc.deliver(request, instance)
+                if deadline is not None:
+                    # Timeout's arithmetic: call_in(deadline - now).
+                    self.timer = sim.schedule(now + (deadline - now),
+                                              self._expire)
+                self.instance = instance
+                self.done = done
+                done.callbacks.append(self)  # type: ignore[union-attr]
+                return
+            if not self._retry_now(failure):  # type: ignore[arg-type]
+                return
+
+    def _backoff_over(self) -> None:
+        """The backoff entry fired: send the next attempt."""
+        try:
+            self._attempt()
+        except BaseException as exc:
+            Event(self.sim).fail(exc)  # as in __call__
+
+    def _settle(self, event: Event) -> None:
+        """End the attempt on ``event``: its response, or the relay that
+        carries its race's result."""
+        stats = self.deployment.resilience_stats
+        breaker = self.instance.breaker  # type: ignore[union-attr]
+        self.instance = None
+        if event._ok:
+            value = event._value
+            if value is not _DEADLINE:
+                stats.successes += 1
+                if breaker is not None:
+                    breaker.record_success(self.sim.now)
+                self.outer.succeed(value)
+                return
+            stats.timeouts += 1
+            failure: Exception = DeadlineExceededError(
+                f"{self.service_name}/{self.endpoint} missed its "
+                f"{self.deployment.resilience.timeout}s "  # type: ignore
+                f"deadline (attempt {self.attempt})")
+        else:
+            event._defused = True
+            if not isinstance(event._value, Exception):
+                # Not a failure a call handles: escalate (see __call__).
+                raise event._value  # type: ignore[misc]
+            failure = event._value
+            stats.failures += 1
+        if breaker is not None:
+            breaker.record_failure(self.sim.now)
+        if self._retry_now(failure):
+            self._attempt()
+
+    def _retry_now(self, failure: Exception) -> bool:
+        """After a failed attempt: True to send the next one at once;
+        False when the call backs off or ends."""
+        self.last_error = failure
+        deployment = self.deployment
+        stats = deployment.resilience_stats
+        policy = t.cast(RetryPolicy, deployment._retry_policy)
+        now = self.sim.now
+        deadline = self.deadline
+        if ((deadline is not None and now >= deadline)
+                or not policy.should_retry(self.attempt, stats)):
+            # The deadline covers all attempts, or retries are spent.
+            self._give_up()
+            return False
+        delay = policy.backoff(self.service_name, self.attempt)
+        if deadline is not None and now + delay >= deadline:
+            self._give_up()  # backing off would outlive the deadline
+            return False
+        stats.retries += 1
+        if delay > 0:
+            self.sim.schedule(now + delay, self._backoff_over)
+            return False
+        return True
+
+    def _give_up(self) -> None:
+        """Degrade to the registered fallback, or fail ``outer``."""
+        deployment = self.deployment
+        stats = deployment.resilience_stats
+        if t.cast(ResilienceConfig, deployment.resilience).degradation:
+            fallback = deployment._fallback_for(self.service_name,
+                                                self.endpoint)
+            if fallback is not _NO_FALLBACK:
+                stats.degraded += 1
+                self.outer.succeed(fallback)
+                return
+        stats.errors += 1
+        self.outer.fail(t.cast(Exception, self.last_error))
