@@ -3,17 +3,10 @@
 Every benchmark runs its experiment once (``rounds=1``) at paper scale,
 asserts the paper's qualitative shape, and archives the rendered table
 under ``benchmarks/output/`` so EXPERIMENTS.md entries are regenerable.
-
-The ``orchestrate`` fixture routes an experiment through
-``repro.orchestrator.run_sweep`` with a benchmark-local cache, so repeat
-benchmark runs replay unchanged experiments from ``benchmarks/.cache/``
-instead of recomputing them.  Set ``REPRO_BENCH_JOBS`` to fan points out
-across worker processes (sweeps are byte-identical at any job count).
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
@@ -22,7 +15,6 @@ from repro.experiments import ExperimentSettings
 from repro.experiments.common import ExperimentResult
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-CACHE_DIR = pathlib.Path(__file__).parent / ".cache"
 
 
 @pytest.fixture(scope="session")
@@ -40,27 +32,6 @@ def archive():
         path.write_text(result.render() + "\n")
         return result
     return write
-
-
-@pytest.fixture(scope="session")
-def orchestrate():
-    """Run an experiment through the sweep orchestrator, cached.
-
-    ``orchestrate("e2", settings)`` is render-identical to the module's
-    ``run(settings)`` but fans sweep points across ``REPRO_BENCH_JOBS``
-    worker processes (default: in-process) and caches point payloads
-    under ``benchmarks/.cache/``.
-    """
-    from repro.orchestrator import ResultCache, run_sweep
-
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    cache = ResultCache(CACHE_DIR)
-
-    def sweep(experiment_id: str,
-              settings: ExperimentSettings) -> ExperimentResult:
-        return run_sweep(experiment_id, settings,
-                         jobs=jobs, cache=cache).result
-    return sweep
 
 
 def run_once(benchmark, fn):

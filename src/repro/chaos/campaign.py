@@ -40,6 +40,7 @@ from repro.experiments.common import (
     ExperimentSettings,
     Row,
     build_application,
+    require_unsharded,
 )
 from repro.orchestrator import plan
 from repro.services.deployment import Deployment
@@ -195,8 +196,9 @@ def sweep_points(settings: ExperimentSettings,
     parameters, so custom catalogs flow through the pool and cache
     exactly like the builtin one.  The default catalog is derived
     against the active application, so its role bindings are validated
-    eagerly, before any cell runs.
+    eagerly, before any cell runs; so is a sharded run.
     """
+    require_unsharded(settings, "the chaos campaign")
     if scenarios is None:
         scenarios = builtin_catalog(settings.application())
     modes = RESILIENCE_MODES if modes is None else modes

@@ -18,51 +18,18 @@ import sys
 import typing as t
 
 from repro.experiments import ExperimentSettings
-from repro.experiments import (
-    ablations,
-    e1_platform,
-    e2_load_scaling,
-    e3_core_scaling,
-    e4_smt,
-    e5_utilization,
-    e6_service_scaling,
-    e7_placement,
-    e8_headline,
-    e9_characterization,
-    e10_numa,
-    e11_latency_breakdown,
-    e12_colocation,
-    e13_fault_tolerance,
-    e14_cross_app,
+from repro.orchestrator import (
+    ProgressReporter,
+    ResultCache,
+    SweepInterrupted,
+    SweepOutcome,
+    SweepTimeout,
+    provider_for,
+    run_sweep,
+    sweep_experiments,
 )
-from repro.chaos import campaign as chaos_campaign
+from repro.orchestrator.cache import DEFAULT_CACHE_DIR
 from repro.topology.presets import PRESETS
-
-#: Experiment id → (description, runner).  The chaos campaign also has
-#: its own verb (``repro chaos``) with catalog/grading flags, but runs
-#: and sweeps like any experiment.
-EXPERIMENTS: dict[str, tuple[str, t.Callable]] = {
-    "e1": (e1_platform.TITLE, e1_platform.run),
-    "e2": (e2_load_scaling.TITLE, e2_load_scaling.run),
-    "e3": (e3_core_scaling.TITLE, e3_core_scaling.run),
-    "e4": (e4_smt.TITLE, e4_smt.run),
-    "e5": (e5_utilization.TITLE, e5_utilization.run),
-    "e6": (e6_service_scaling.TITLE, e6_service_scaling.run),
-    "e7": (e7_placement.TITLE, e7_placement.run),
-    "e8": (e8_headline.TITLE, e8_headline.run),
-    "e9": (e9_characterization.TITLE, e9_characterization.run),
-    "e10": (e10_numa.TITLE, e10_numa.run),
-    "e11": (e11_latency_breakdown.TITLE, e11_latency_breakdown.run),
-    "e12": (e12_colocation.TITLE, e12_colocation.run),
-    "e13": (e13_fault_tolerance.TITLE, e13_fault_tolerance.run),
-    "e14": (e14_cross_app.TITLE, e14_cross_app.run),
-    "chaos": (chaos_campaign.TITLE, chaos_campaign.run),
-    "a1": ("Ablation: CCX code sharing", ablations.run_code_sharing),
-    "a2": ("Ablation: frequency boost", ablations.run_frequency_ablation),
-    "a3": ("Ablation: SMT yield", ablations.run_smt_yield_ablation),
-    "a4": ("Ablation: memory-bandwidth contention",
-           ablations.run_bandwidth_ablation),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,48 +56,23 @@ def _build_parser() -> argparse.ArgumentParser:
     apps.add_argument("--json", metavar="NAME", default=None,
                       help="print one application's canonical JSON spec")
 
+    experiment_choices = sweep_experiments() + ["all"]
     run = subparsers.add_parser("run", help="run experiments")
-    run.add_argument("experiment",
-                     choices=sorted(EXPERIMENTS) + ["all"],
+    run.add_argument("experiment", choices=experiment_choices,
                      help="experiment id, or 'all'")
-    run.add_argument("--fast", action="store_true",
-                     help="small machine, short windows")
-    run.add_argument("--preset", default=None, choices=sorted(PRESETS),
-                     help="override the machine preset")
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--users", type=int, default=None)
-    _add_app_argument(run)
-    _add_scale_arguments(run)
-    run.add_argument("--markdown", metavar="FILE", default=None,
-                     help="also write a markdown report to FILE")
+    _add_experiment_arguments(run)
     run.add_argument("--figures", metavar="DIR", default=None,
                      help="also write SVG figures to DIR")
-    _add_kernel_argument(run)
 
     sweep = subparsers.add_parser(
         "sweep",
         help="run experiments as parallel, cached, resumable sweeps")
-    sweep.add_argument("experiment",
-                       choices=sorted(EXPERIMENTS) + ["all"],
+    sweep.add_argument("experiment", choices=experiment_choices,
                        help="experiment id, or 'all'")
     sweep.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: all CPUs)")
-    sweep.add_argument("--fast", action="store_true",
-                       help="small machine, short windows")
-    sweep.add_argument("--preset", default=None, choices=sorted(PRESETS),
-                       help="override the machine preset")
-    sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--users", type=int, default=None)
-    _add_app_argument(sweep)
-    _add_scale_arguments(sweep)
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable the result cache entirely")
-    sweep.add_argument("--rerun", action="store_true",
-                       help="execute every point even on cache hits "
-                            "(and refresh the entries)")
-    sweep.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result-cache directory "
-                            "(default: .repro-cache)")
+    _add_experiment_arguments(sweep)
+    _add_cache_arguments(sweep)
     sweep.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-point completion timeout")
@@ -139,12 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--log", metavar="FILE", default=None,
                        help="JSONL run log "
                             "(default: <cache-dir>/last-sweep.jsonl)")
-    sweep.add_argument("--bench", metavar="FILE", default=None,
-                       help="also append sweep telemetry to the "
-                            "trajectory artifact FILE")
-    sweep.add_argument("--markdown", metavar="FILE", default=None,
-                       help="also write a markdown report to FILE")
-    _add_kernel_argument(sweep)
 
     chaos = subparsers.add_parser(
         "chaos",
@@ -169,55 +105,59 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--jobs", type=int, default=1,
                        help="worker processes (default: 1; results are "
                             "byte-identical at any value)")
-    chaos.add_argument("--fast", action="store_true",
-                       help="small machine, short windows")
-    chaos.add_argument("--preset", default=None, choices=sorted(PRESETS),
-                       help="override the machine preset")
-    chaos.add_argument("--seed", type=int, default=1)
-    chaos.add_argument("--users", type=int, default=None)
-    _add_app_argument(chaos)
-    _add_scale_arguments(chaos)
-    chaos.add_argument("--no-cache", action="store_true",
-                       help="disable the result cache entirely")
-    chaos.add_argument("--rerun", action="store_true",
-                       help="execute every cell even on cache hits")
-    chaos.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result-cache directory "
-                            "(default: .repro-cache)")
+    # The campaign builds its own deployments, so it cannot shard.
+    _add_experiment_arguments(chaos, shards=False)
+    _add_cache_arguments(chaos)
     chaos.add_argument("--out", metavar="FILE", default=None,
                        help="write the campaign artifact (settings + "
                             "per-cell payloads) as JSON to FILE")
-    chaos.add_argument("--markdown", metavar="FILE", default=None,
-                       help="also write a markdown report to FILE")
-    _add_kernel_argument(chaos)
     return parser
 
 
-def _add_app_argument(subparser: argparse.ArgumentParser) -> None:
+def _add_experiment_arguments(subparser: argparse.ArgumentParser, *,
+                              shards: bool = True) -> None:
+    """The flags every experiment-running verb shares."""
     from repro.apps.registry import APP_NAMES
+
+    subparser.add_argument("--fast", action="store_true",
+                           help="small machine, short windows")
+    subparser.add_argument("--preset", default=None,
+                           choices=sorted(PRESETS),
+                           help="override the machine preset")
+    subparser.add_argument("--seed", type=int, default=1)
+    subparser.add_argument("--users", type=int, default=None)
     subparser.add_argument(
         "--app", default="teastore", choices=APP_NAMES,
         help="application under test (default: teastore)")
-
-
-def _add_scale_arguments(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--cohort-factor", type=int, default=1, metavar="N",
         help="collapse N statistically identical users per weighted "
              "cohort (1 = exact per-user baseline)")
-    subparser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="partition the population across N sharded deployments "
-             "with window-synced shared services (1 = single process; "
-             "set REPRO_SCALE_JOBS to fan shards out over processes)")
-
-
-def _add_kernel_argument(subparser: argparse.ArgumentParser) -> None:
+    if shards:
+        subparser.add_argument(
+            "--shards", type=int, default=1, metavar="N",
+            help="partition the population across N sharded deployments "
+                 "with window-synced shared services (1 = single process; "
+                 "set REPRO_SCALE_JOBS to fan shards out over processes)")
+    subparser.add_argument("--markdown", metavar="FILE", default=None,
+                           help="also write a markdown report to FILE")
     subparser.add_argument(
         "--kernel", default=None,
         choices=("auto", "python", "compiled"),
         help="event-loop backend (default: REPRO_KERNEL env or auto; "
              "'compiled' fails if the extension is not built)")
+
+
+def _add_cache_arguments(subparser: argparse.ArgumentParser) -> None:
+    subparser.add_argument("--no-cache", action="store_true",
+                           help="disable the result cache entirely")
+    subparser.add_argument("--rerun", action="store_true",
+                           help="execute every point even on cache hits "
+                                "(and refresh the entries)")
+    subparser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+                           metavar="DIR",
+                           help="result-cache directory "
+                                "(default: %(default)s)")
 
 
 def _apply_kernel_choice(args: argparse.Namespace) -> None:
@@ -265,8 +205,8 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     _apply_kernel_choice(args)
 
     if args.command == "list":
-        for experiment_id, (title, __) in sorted(EXPERIMENTS.items()):
-            print(f"{experiment_id:4s} {title}")
+        for experiment_id in sweep_experiments():
+            print(f"{experiment_id:4s} {provider_for(experiment_id).title}")
         return 0
 
     if args.command == "platform":
@@ -280,35 +220,78 @@ def main(argv: t.Sequence[str] | None = None) -> int:
             print(machine.describe())
         return 0
 
-    if args.command == "apps":
-        return _run_apps(args)
+    verb = {"apps": _run_apps, "run": _run, "sweep": _run_sweeps,
+            "chaos": _run_chaos}
+    try:
+        return verb[args.command](args)
+    except SweepInterrupted as interrupted:
+        print(interrupted, file=sys.stderr)
+        return 130
+    except SweepTimeout as timed_out:
+        print(timed_out, file=sys.stderr)
+        return 1
 
-    if args.command == "sweep":
-        return _run_sweeps(args)
 
-    if args.command == "chaos":
-        return _run_chaos(args)
+def _execute(args: argparse.Namespace, experiment_ids: t.Sequence[str], *,
+             log: t.TextIO | None = None,
+             **options: t.Any) -> t.Iterator[SweepOutcome]:
+    """Run each experiment through :func:`run_sweep`, yielding each
+    outcome as it completes; ``options`` are ``run_sweep``'s keywords.
 
-    experiment_ids = (sorted(EXPERIMENTS) if args.experiment == "all"
-                      else [args.experiment])
-    results = []
+    This is the one path from an experiment id to its table.  ``repro
+    run`` takes ``run_sweep``'s defaults (in-process, no cache) and no
+    progress; ``repro sweep`` adds worker processes, the cache and a
+    JSONL run ``log`` with progress lines; ``repro chaos run`` passes
+    its catalog subset as ``points``.
+    """
     for experiment_id in experiment_ids:
-        __, runner = EXPERIMENTS[experiment_id]
-        settings = _settings_for(args, experiment_id)
-        result = runner(settings)
-        results.append(result)
-        print(result.render())
+        progress = (None if log is None else
+                    ProgressReporter(experiment_id, log=log,
+                                     quiet=args.quiet))
+        yield run_sweep(experiment_id, _settings_for(args, experiment_id),
+                        progress=progress, **options)
+
+
+def _print_tables(args: argparse.Namespace,
+                  **options: t.Any) -> list[SweepOutcome]:
+    """``run``/``sweep``: every table, printed as it completes."""
+    experiment_ids = (sweep_experiments() if args.experiment == "all"
+                      else [args.experiment])
+    outcomes = []
+    for outcome in _execute(args, experiment_ids, **options):
+        print(outcome.result.render())
         print()
-    if args.markdown is not None:
-        from repro.report import build_report
-        settings = _settings_for(args, experiment_ids[0])
-        report = build_report(results, machine=settings.machine())
-        with open(args.markdown, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"markdown report written to {args.markdown}")
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _write_markdown(args: argparse.Namespace,
+                    outcomes: t.Sequence[SweepOutcome], *,
+                    telemetry: bool = False) -> None:
+    """``--markdown FILE``: the report, plus sweep telemetry on request."""
+    if args.markdown is None:
+        return
+    from repro.report import build_report
+
+    settings = _settings_for(args, outcomes[0].stats.experiment)
+    report = build_report(
+        [outcome.result for outcome in outcomes],
+        machine=settings.machine(),
+        sweep_stats=([outcome.stats.to_dict() for outcome in outcomes]
+                     if telemetry else None))
+    with open(args.markdown, "w", encoding="utf-8") as handle:
+        handle.write(report)
+    print(f"markdown report written to {args.markdown}")
+
+
+def _run(args: argparse.Namespace) -> int:
+    """The ``repro run`` verb: the sweep in-process, uncached."""
+    outcomes = _print_tables(args)
+    _write_markdown(args, outcomes)
     if args.figures is not None:
         from repro.experiments.figures import write_figures
-        written = write_figures(results, args.figures)
+        written = write_figures([outcome.result for outcome in outcomes],
+                                args.figures)
         print(f"{len(written)} figures written to {args.figures}")
     return 0
 
@@ -345,77 +328,27 @@ def _run_sweeps(args: argparse.Namespace) -> int:
     import os
     import pathlib
 
-    from repro.orchestrator import (
-        ProgressReporter,
-        ResultCache,
-        SweepInterrupted,
-        SweepTimeout,
-        run_sweep,
-        write_bench_artifact,
-    )
-
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         print(f"--jobs must be >= 1 (got {jobs})", file=sys.stderr)
         return 2
-    cache_dir = pathlib.Path(args.cache_dir or ".repro-cache")
-    cache = None if args.no_cache else ResultCache(cache_dir)
-    log_path = args.log or str(cache_dir / "last-sweep.jsonl")
-    pathlib.Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-    experiment_ids = (sorted(EXPERIMENTS) if args.experiment == "all"
-                      else [args.experiment])
-
-    results = []
-    stats = []
-    with open(log_path, "w", encoding="utf-8") as log_handle:
-        for experiment_id in experiment_ids:
-            settings = _settings_for(args, experiment_id)
-            progress = ProgressReporter(experiment_id, log=log_handle,
-                                        quiet=args.quiet)
-            try:
-                outcome = run_sweep(experiment_id, settings, jobs=jobs,
-                                    cache=cache, rerun=args.rerun,
-                                    point_timeout=args.timeout,
-                                    progress=progress)
-            except SweepInterrupted as interrupted:
-                print(interrupted, file=sys.stderr)
-                return 130
-            except SweepTimeout as timed_out:
-                print(f"sweep {experiment_id} timed out: {timed_out}",
-                      file=sys.stderr)
-                return 1
-            results.append(outcome.result)
-            stats.append(outcome.stats)
-            print(outcome.result.render())
-            print()
-
-    if args.bench:
-        write_bench_artifact(args.bench, stats, jobs)
-        print(f"sweep bench artifact written to {args.bench}")
-    if args.markdown is not None:
-        from repro.report import build_report
-        settings = _settings_for(args, experiment_ids[0])
-        report = build_report(results, machine=settings.machine(),
-                              sweep_stats=[s.to_dict() for s in stats])
-        with open(args.markdown, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"markdown report written to {args.markdown}")
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    log_path = pathlib.Path(
+        args.log or os.path.join(args.cache_dir, "last-sweep.jsonl"))
+    log_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(log_path, "w", encoding="utf-8") as log:
+        outcomes = _print_tables(args, log=log, jobs=jobs, cache=cache,
+                                 rerun=args.rerun,
+                                 point_timeout=args.timeout)
+    _write_markdown(args, outcomes, telemetry=True)
     return 0
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
     """The ``repro chaos`` verb: graded campaigns over the catalog."""
     import json
-    import pathlib
 
     from repro.chaos import campaign, catalog, grading
-    from repro.experiments.common import ExperimentSettings
-    from repro.orchestrator import (
-        ResultCache,
-        SweepInterrupted,
-        SweepTimeout,
-        run_sweep,
-    )
 
     if args.list_scenarios:
         app = _settings_for(args, "chaos").application()
@@ -455,17 +388,9 @@ def _run_chaos(args: argparse.Namespace) -> int:
         return 2
     settings = _settings_for(args, "chaos")
     points = campaign.campaign_points(settings, args.scenarios, args.modes)
-    cache_dir = pathlib.Path(args.cache_dir or ".repro-cache")
-    cache = None if args.no_cache else ResultCache(cache_dir)
-    try:
-        outcome = run_sweep("chaos", settings, jobs=args.jobs,
-                            cache=cache, rerun=args.rerun, points=points)
-    except SweepInterrupted as interrupted:
-        print(interrupted, file=sys.stderr)
-        return 130
-    except SweepTimeout as timed_out:
-        print(f"chaos campaign timed out: {timed_out}", file=sys.stderr)
-        return 1
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    [outcome] = _execute(args, ["chaos"], jobs=args.jobs, cache=cache,
+                         rerun=args.rerun, points=points)
     print(outcome.result.render())
     if args.out is not None:
         artifact = {"settings": settings.to_dict(),
@@ -473,13 +398,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(artifact, handle, indent=2, sort_keys=True)
         print(f"campaign artifact written to {args.out}")
-    if args.markdown is not None:
-        from repro.report import build_report
-        report = build_report([outcome.result],
-                              machine=settings.machine())
-        with open(args.markdown, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"markdown report written to {args.markdown}")
+    _write_markdown(args, [outcome])
     return 0
 
 

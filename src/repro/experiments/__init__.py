@@ -1,10 +1,16 @@
 """Experiment harness: one module per paper experiment.
 
-Each module exposes ``run(settings) -> ExperimentResult`` producing the
-rows/series the paper's corresponding table or figure reports.  The
-benchmark suite (``benchmarks/``) and the CLI (``python -m repro``) are
-thin wrappers over these functions; EXPERIMENTS.md records representative
-output next to the paper's claims.
+Each module defines its experiment once, as a *sweep provider*
+registered with :mod:`repro.orchestrator.plan`: a
+``sweep_points(settings)`` / ``run_point(point)`` /
+``assemble(settings, payloads)`` triple that decomposes it into
+independent points.  The module's ``run(settings) -> ExperimentResult``
+is the in-process composition of that triple (some take ladder
+arguments for tests and benchmarks); the CLI runs every experiment
+through :func:`repro.orchestrator.run_sweep`, in-process for ``repro
+run`` and parallel and cached for ``repro sweep``, so both print the
+same table byte for byte.  EXPERIMENTS.md records representative output
+next to the paper's claims.
 
 | Id  | Module | Reconstructed figure/table |
 |-----|--------|-----------------------------|
@@ -23,13 +29,6 @@ output next to the paper's claims.
 | E13 | :mod:`~repro.experiments.e13_fault_tolerance` | fault-tolerance matrix (extension) |
 | E14 | :mod:`~repro.experiments.e14_cross_app` | cross-application scale-up comparison (extension) |
 | A1..A4 | :mod:`~repro.experiments.ablations` | design-choice ablations |
-
-Each module also registers a *sweep provider* with
-:mod:`repro.orchestrator.plan` — a ``sweep_points(settings)`` /
-``run_point(point)`` / ``assemble(settings, payloads)`` triple that
-decomposes the experiment into independent points.  ``run()`` is a thin
-sequential composition of the same triple, so ``repro sweep`` (parallel,
-cached) reproduces ``repro run`` byte-for-byte.
 """
 
 from repro.experiments.common import ExperimentResult, ExperimentSettings

@@ -161,6 +161,19 @@ def format_table(rows: t.Sequence[Row]) -> str:
     return "\n".join([header, separator, *body])
 
 
+_SHARDED_PATH_ONLY = ("sharded execution (settings.shards > 1) supports "
+                      "the tuned-baseline run_store path only")
+
+
+def require_unsharded(settings: ExperimentSettings, experiment: str) -> None:
+    """Fail early when an experiment that builds its own deployments is
+    asked to shard (it would silently run unsharded)."""
+    if settings.shards > 1:
+        raise ConfigurationError(
+            f"{_SHARDED_PATH_ONLY}; {experiment} builds its own "
+            f"deployments, so run it with shards=1")
+
+
 def run_store(settings: ExperimentSettings,
               machine: Machine | None = None,
               online: CpuSet | None = None,
@@ -189,9 +202,8 @@ def run_store(settings: ExperimentSettings,
                for override in (machine, online, allocation, counter_sink,
                                 smt_model, frequency_model)):
             raise ConfigurationError(
-                "sharded execution (settings.shards > 1) supports the "
-                "tuned-baseline run_store path only; drop the "
-                "machine/placement overrides or run with shards=1")
+                f"{_SHARDED_PATH_ONLY}; drop the machine/placement "
+                f"overrides or run with shards=1")
         from repro.scale.executor import run_sharded
         outcome = run_sharded(settings, users=users, seed=seed)
         return outcome.result, outcome.deployment, outcome.store

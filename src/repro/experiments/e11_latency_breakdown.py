@@ -18,6 +18,7 @@ from repro.experiments.common import (
     ExperimentSettings,
     Row,
     build_application,
+    require_unsharded,
 )
 from repro.orchestrator import plan
 from repro.services.deployment import Deployment
@@ -47,9 +48,10 @@ def sweep_points(settings: ExperimentSettings,
                  ) -> list[plan.SweepPoint]:
     """One point: all endpoints decompose from a single traced run.
 
-    An application without a :data:`SESSION` profile fails here, before
-    any point runs.
+    An application without a :data:`SESSION` profile, or a sharded run,
+    fails here, before any point runs.
     """
+    require_unsharded(settings, "E11")
     settings.application().session(SESSION)
     return [plan.SweepPoint(
         "e11", 0, "trace", "buy-profile", settings,

@@ -26,6 +26,7 @@ from repro.experiments.common import (
     ExperimentSettings,
     Row,
     default_counts,
+    require_unsharded,
 )
 from repro.orchestrator import plan
 from repro.placement.policies import ccx_aware, unpinned
@@ -57,6 +58,7 @@ def sweep_points(settings: ExperimentSettings,
                  neighbor_concurrency: int | None = None
                  ) -> list[plan.SweepPoint]:
     """One independent point per co-location configuration."""
+    require_unsharded(settings, "E12")
     machine = settings.machine()
     n_ccxs = len(machine.ccxs)
     if n_ccxs < 8:

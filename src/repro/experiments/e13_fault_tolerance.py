@@ -35,11 +35,13 @@ from __future__ import annotations
 
 import typing as t
 
+from repro._errors import ConfigurationError
 from repro.chaos.campaign import execute_cell
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
     Row,
+    require_unsharded,
 )
 from repro.orchestrator import plan
 from repro.services.resilience import ResilienceConfig, resilience_preset
@@ -109,7 +111,21 @@ def run(settings: ExperimentSettings | None = None) -> ExperimentResult:
 
 
 def sweep_points(settings: ExperimentSettings) -> list[plan.SweepPoint]:
-    """One independent point per (scenario, resilience mode) cell."""
+    """One independent point per (scenario, resilience mode) cell.
+
+    The fault schedules name TeaStore's services; an application that
+    lacks one, or a sharded run, fails here, before any point runs.
+    """
+    require_unsharded(settings, "E13")
+    services = settings.application().service_names()
+    missing = sorted({entry["service"] for scenario in SCENARIOS
+                      for entry in fault_schedule(scenario, settings)}
+                     - set(services))
+    if missing:
+        raise ConfigurationError(
+            f"E13's fault scenarios target {', '.join(missing)}, which "
+            f"application {settings.app!r} does not have (its services: "
+            f"{', '.join(services)})")
     points = []
     index = 0
     for scenario in SCENARIOS:

@@ -62,16 +62,25 @@ def sweep_points(settings: ExperimentSettings,
 
     Validation (fit of the ladders next to the fixed others-budget,
     known service names) happens here, before any simulation work is
-    scheduled.
+    scheduled.  The default ladders are sized for the 16-CCX rome
+    machine: on a smaller one, their points that cannot fit next to one
+    CCX per other service are dropped; explicit ``sweeps`` must fit.
     """
-    sweeps = sweeps or DEFAULT_SWEEPS
     machine = settings.machine()
+    total_ccxs = len(machine.ccxs)
+    services = settings.application().service_names()
+    if not sweeps:
+        largest = total_ccxs - (len(services) - 1)
+        sweeps = {service: kept for service, ladder in DEFAULT_SWEEPS.items()
+                  if (kept := tuple(n for n in ladder if n <= largest))}
+        if not sweeps:
+            raise ConfigurationError(
+                f"E6 needs at least {len(services)} CCXs, one per service "
+                f"({total_ccxs} on {settings.preset!r})")
     # The non-target services keep one fixed CCX budget for the whole
     # experiment: as much as possible while still fitting the largest
     # sweep point, and never fewer than one CCX per service.
-    total_ccxs = len(machine.ccxs)
     max_point = max(max(ladder) for ladder in sweeps.values())
-    services = settings.application().service_names()
     others_budget = max(len(services) - 1, total_ccxs - max_point)
     if others_budget + max_point > total_ccxs:
         raise ConfigurationError(

@@ -30,92 +30,62 @@ POLICY_ORDER = ("unpinned", "node_spread", "ccx_aware")
 def run(settings: ExperimentSettings | None = None) -> ExperimentResult:
     """One row per policy; uplift is relative to the unpinned baseline."""
     settings = settings or ExperimentSettings()
-    machine = settings.machine()
-    counts = default_counts(settings)
-
-    # Profile the unpinned baseline first: it is both the comparison
-    # point and the source of the CPU weights ccx_aware budgets with.
-    baseline_result, __, __ = run_store(
-        settings, machine=machine,
-        allocation=unpinned(machine, counts))
-    weights = weights_from_utilization(baseline_result.service_utilization)
-
-    policies: list[tuple[str, t.Any]] = [
-        ("node_spread", node_spread(machine, counts)),
-        ("ccx_aware", ccx_aware(machine, counts, weights)),
-    ]
-    rows: list[Row] = [_row("unpinned", baseline_result, baseline_result)]
-    for name, allocation in policies:
-        result, __, __ = run_store(settings, machine=machine,
-                                   allocation=allocation)
-        rows.append(_row(name, result, baseline_result))
-    best = max(rows, key=lambda r: t.cast(float, r["throughput_rps"]))
-    return ExperimentResult(
-        "E7", TITLE, rows,
-        notes=[f"best policy: {best['policy']} "
-               f"(+{t.cast(float, best['uplift_pct']):.1f}% vs unpinned)"])
-
-
-def _row(policy: str, result, baseline) -> Row:
-    return {
-        "policy": policy,
-        "throughput_rps": result.throughput,
-        "latency_mean_ms": result.latency_mean * 1e3,
-        "latency_p99_ms": result.latency_p99 * 1e3,
-        "machine_util": result.machine_utilization,
-        "uplift_pct": 100.0 * (result.throughput
-                               / baseline.throughput - 1.0),
-    }
+    return assemble_sweep(settings, [run_sweep_point(point)
+                                     for point in sweep_points(settings)])
 
 
 def sweep_points(settings: ExperimentSettings) -> list[plan.SweepPoint]:
-    """One independent point per placement policy.
+    """Two independent points: {unpinned, ccx_aware} and {node_spread}.
 
-    The ``ccx_aware`` point re-profiles the unpinned baseline inside its
-    own process to derive the CPU weights — redundant work, but it keeps
-    every point self-contained, and determinism makes the re-measured
-    baseline identical to the baseline point's own run.
+    ``ccx_aware`` budgets with the CPU weights profiled on the unpinned
+    baseline, so the two share a point: the baseline is measured once,
+    sequentially or swept.
     """
-    return [plan.SweepPoint("e7", index, "policy", policy, settings,
-                            params=(("policy", policy),))
-            for index, policy in enumerate(POLICY_ORDER)]
+    return [plan.SweepPoint("e7", index, "policy", "+".join(policies),
+                            settings, params=(("policies", policies),))
+            for index, policies in enumerate(
+                (("unpinned", "ccx_aware"), ("node_spread",)))]
 
 
 def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
-    """Measure one placement policy."""
+    """Measure the point's policies in order; one row each."""
     settings = point.settings
     machine = settings.machine()
     counts = default_counts(settings)
-    policy = point.param("policy")
-    if policy == "unpinned":
-        allocation = unpinned(machine, counts)
-    elif policy == "node_spread":
-        allocation = node_spread(machine, counts)
-    elif policy == "ccx_aware":
-        baseline, __, __ = run_store(settings, machine=machine,
-                                     allocation=unpinned(machine, counts))
-        weights = weights_from_utilization(baseline.service_utilization)
-        allocation = ccx_aware(machine, counts, weights)
-    else:
-        raise ValueError(f"unknown placement policy {policy!r}")
-    result, __, __ = run_store(settings, machine=machine,
-                               allocation=allocation)
-    return {
-        "policy": policy,
-        "throughput_rps": result.throughput,
-        "latency_mean_ms": result.latency_mean * 1e3,
-        "latency_p99_ms": result.latency_p99 * 1e3,
-        "machine_util": result.machine_utilization,
-    }
+    rows = []
+    weights: t.Mapping[str, float] = {}  # profiled by the unpinned run
+    for policy in point.param("policies"):
+        if policy == "unpinned":
+            allocation = unpinned(machine, counts)
+        elif policy == "node_spread":
+            allocation = node_spread(machine, counts)
+        elif policy == "ccx_aware":
+            allocation = ccx_aware(machine, counts, weights)
+        else:
+            raise ValueError(f"unknown placement policy {policy!r}")
+        result, __, __ = run_store(settings, machine=machine,
+                                   allocation=allocation)
+        if policy == "unpinned":
+            weights = weights_from_utilization(result.service_utilization)
+        rows.append({
+            "policy": policy,
+            "throughput_rps": result.throughput,
+            "latency_mean_ms": result.latency_mean * 1e3,
+            "latency_p99_ms": result.latency_p99 * 1e3,
+            "machine_util": result.machine_utilization,
+        })
+    return {"rows": rows}
 
 
 def assemble_sweep(settings: ExperimentSettings,
                    payloads: t.Sequence[plan.Payload]) -> ExperimentResult:
-    """Compute uplifts against the leading unpinned baseline."""
-    baseline_rps = t.cast(float, payloads[0]["throughput_rps"])
+    """Rows in :data:`POLICY_ORDER`, uplifts against unpinned."""
+    by_policy = {row["policy"]: row
+                 for payload in payloads for row in payload["rows"]}
+    baseline_rps = t.cast(float, by_policy["unpinned"]["throughput_rps"])
     rows: list[Row] = []
-    for payload in payloads:
-        row = dict(payload)
+    for policy in POLICY_ORDER:
+        row = dict(by_policy[policy])
         row["uplift_pct"] = 100.0 * (t.cast(float, row["throughput_rps"])
                                      / baseline_rps - 1.0)
         rows.append(row)

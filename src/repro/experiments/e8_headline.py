@@ -9,26 +9,25 @@ performance-tuned baseline.  The reproduction applies the same recipe:
 2. derive CCX budgets from the measured weights;
 3. deploy the scaling-aware, CCX-pinned configuration
    (:func:`~repro.placement.policies.ccx_aware_auto`: one replica per L3
-   domain, database kept singular) and measure again;
-4. optionally let the greedy optimizer refine the budgets.
+   domain, database kept singular) and measure again.
+
+The second measurement depends on the first, so the whole recipe is one
+sweep point.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing as t
 
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
-    Row,
     default_counts,
     run_store,
 )
-import typing as t
-
 from repro.orchestrator import plan
 from repro.placement.allocation import Allocation
-from repro.placement.optimizer import optimize_ccx_budget
 from repro.placement.policies import ccx_aware_auto, unpinned
 from repro.placement.scaling import weights_from_utilization
 from repro.workload.runner import RunResult
@@ -60,9 +59,7 @@ class HeadlineOutcome:
         return 1.0 - self.optimized.latency_p99 / self.baseline.latency_p99
 
 
-def measure(settings: ExperimentSettings | None = None,
-            optimize: bool = False,
-            optimizer_iterations: int = 3) -> HeadlineOutcome:
+def measure(settings: ExperimentSettings | None = None) -> HeadlineOutcome:
     """Run the full recipe and return both measurements."""
     settings = settings or ExperimentSettings()
     machine = settings.machine()
@@ -73,68 +70,23 @@ def measure(settings: ExperimentSettings | None = None,
         allocation=unpinned(machine, counts))
     weights = weights_from_utilization(baseline_result.service_utilization)
     allocation = ccx_aware_auto(machine, weights, fixed_counts={"db": 1})
-
-    if optimize:
-        short = dataclasses.replace(
-            settings,
-            warmup=max(0.5, settings.warmup / 2),
-            duration=max(1.0, settings.duration / 2))
-
-        def evaluate(candidate: Allocation) -> float:
-            result, __, __ = run_store(short, machine=machine,
-                                       allocation=candidate)
-            return result.throughput
-
-        # The optimizer explores weight shifts while keeping the replica
-        # counts the auto policy derived.
-        allocation, __ = optimize_ccx_budget(
-            machine, allocation.replica_counts(), weights, evaluate,
-            iterations=optimizer_iterations)
-
     optimized_result, __, __ = run_store(settings, machine=machine,
                                          allocation=allocation)
     return HeadlineOutcome(baseline_result, optimized_result, allocation)
 
 
-def run(settings: ExperimentSettings | None = None,
-        optimize: bool = False) -> ExperimentResult:
+def run(settings: ExperimentSettings | None = None) -> ExperimentResult:
     """Two rows (baseline, optimized) plus the uplift note."""
-    outcome = measure(settings, optimize=optimize)
-    rows: list[Row] = []
-    for name, result in (("tuned baseline", outcome.baseline),
-                         ("optimized", outcome.optimized)):
-        rows.append({
-            "config": name,
-            "throughput_rps": result.throughput,
-            "latency_mean_ms": result.latency_mean * 1e3,
-            "latency_p99_ms": result.latency_p99 * 1e3,
-            "machine_util": result.machine_utilization,
-        })
-    notes = [
-        f"throughput uplift: {100 * outcome.throughput_uplift:+.1f}% "
-        f"(paper: +22%)",
-        f"mean latency change: "
-        f"{-100 * outcome.mean_latency_reduction:+.1f}% (paper: -18%)",
-        f"p99 latency change: "
-        f"{-100 * outcome.p99_latency_reduction:+.1f}%",
-        f"optimized replica counts: "
-        f"{outcome.allocation.replica_counts()}",
-    ]
-    return ExperimentResult("E8", TITLE, rows, notes=notes)
+    settings = settings or ExperimentSettings()
+    return assemble_sweep(settings, [run_sweep_point(point)
+                                     for point in sweep_points(settings)])
 
 
 def sweep_points(settings: ExperimentSettings) -> list[plan.SweepPoint]:
-    """Two points: the tuned baseline and the optimized deployment.
-
-    The optimized point re-measures the baseline in its own process to
-    derive the CPU weights the auto policy budgets with; determinism
-    makes that re-measurement identical to the baseline point's run, so
-    the points stay independent.
-    """
-    return [
-        plan.SweepPoint("e8", 0, "baseline", "tuned-baseline", settings),
-        plan.SweepPoint("e8", 1, "optimized", "optimized", settings),
-    ]
+    """One point: the tuned baseline, then the optimized deployment
+    budgeted with the baseline's measured CPU weights."""
+    return [plan.SweepPoint("e8", 0, "headline", "baseline+optimized",
+                            settings)]
 
 
 def _measurement(config: str, result: RunResult) -> plan.Payload:
@@ -153,28 +105,18 @@ def _measurement(config: str, result: RunResult) -> plan.Payload:
 
 
 def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
-    """Measure one side of the headline comparison."""
-    settings = point.settings
-    machine = settings.machine()
-    counts = default_counts(settings)
-    baseline_result, __, __ = run_store(
-        settings, machine=machine,
-        allocation=unpinned(machine, counts))
-    if point.kind == "baseline":
-        return _measurement("tuned baseline", baseline_result)
-    weights = weights_from_utilization(baseline_result.service_utilization)
-    allocation = ccx_aware_auto(machine, weights, fixed_counts={"db": 1})
-    optimized_result, __, __ = run_store(settings, machine=machine,
-                                         allocation=allocation)
-    payload = _measurement("optimized", optimized_result)
-    payload["replica_counts"] = allocation.replica_counts()
-    return payload
+    """Measure both sides of the headline comparison."""
+    outcome = measure(point.settings)
+    return {"baseline": _measurement("tuned baseline", outcome.baseline),
+            "optimized": _measurement("optimized", outcome.optimized),
+            "replica_counts": outcome.allocation.replica_counts()}
 
 
 def assemble_sweep(settings: ExperimentSettings,
                    payloads: t.Sequence[plan.Payload]) -> ExperimentResult:
-    """Rebuild the two-row table and the uplift notes."""
-    baseline, optimized = payloads
+    """The two-row table and the uplift notes."""
+    [payload] = payloads
+    baseline, optimized = payload["baseline"], payload["optimized"]
     rows = [dict(baseline["row"]), dict(optimized["row"])]
     uplift = (t.cast(float, optimized["throughput"])
               / t.cast(float, baseline["throughput"]) - 1.0)
@@ -190,7 +132,7 @@ def assemble_sweep(settings: ExperimentSettings,
         f"p99 latency change: "
         f"{-100 * p99_reduction:+.1f}%",
         f"optimized replica counts: "
-        f"{optimized['replica_counts']}",
+        f"{payload['replica_counts']}",
     ]
     return ExperimentResult("E8", TITLE, rows, notes=notes)
 

@@ -76,7 +76,7 @@ class SweepStats:
         return self.points / self.wall_seconds
 
     def to_dict(self) -> dict[str, t.Any]:
-        """JSON-native view for reports and the bench artifact."""
+        """JSON-native view for reports."""
         return {
             "experiment": self.experiment,
             "jobs": self.jobs,
@@ -173,7 +173,8 @@ def run_sweep(experiment_id: str, settings: ExperimentSettings, *,
             record(index, payload, wall)
             if point_timeout is not None and wall > point_timeout:
                 raise SweepTimeout(
-                    f"point {points[index].label!r} took {wall:.1f}s "
+                    f"sweep {provider.experiment} timed out: point "
+                    f"{points[index].label!r} took {wall:.1f}s "
                     f"(timeout {point_timeout:.1f}s)")
 
     wall_seconds = time.monotonic() - started
@@ -215,8 +216,9 @@ def _run_pool(points: list[SweepPoint], pending: list[int],
                     labels = sorted(points[i].label
                                     for i in remaining.values())
                     raise SweepTimeout(
-                        f"no point completed within "
-                        f"{point_timeout:.1f}s; outstanding: {labels}")
+                        f"sweep {experiment} timed out: no point "
+                        f"completed within {point_timeout:.1f}s; "
+                        f"outstanding: {labels}")
                 for future in finished:
                     index = remaining.pop(future)
                     payload, wall = future.result()

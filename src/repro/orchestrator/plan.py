@@ -1,16 +1,21 @@
 """Sweep planning: points, providers, and the experiment registry.
 
 A sweep decomposes an experiment into independent
-:class:`SweepPoint` units — one simulator run each.  Each experiment
-module registers a :class:`SweepProvider` (via :func:`register_sweep`)
-with three callables:
+:class:`SweepPoint` units — one simulator run each, or two where a
+measurement feeds the next (E7, E8).  Each experiment module registers
+a :class:`SweepProvider` (via :func:`register_sweep`) with three
+callables:
 
 * ``points(settings)`` — the ordered decomposition;
 * ``run_point(point)`` — execute one point, returning a JSON-native
   payload dict (this is what worker processes run);
 * ``assemble(settings, payloads)`` — fold the ordered payloads back into
-  the :class:`~repro.experiments.common.ExperimentResult` the sequential
-  ``run()`` path produces, byte for byte.
+  the :class:`~repro.experiments.common.ExperimentResult`.
+
+The provider is an experiment's only definition: its module's ``run()``
+composes the three callables in-process, and every CLI verb runs it
+through :func:`~repro.orchestrator.executor.run_sweep`.  The registry is
+the one list of experiments — ids, ``all`` order and titles.
 
 Points are picklable value objects: a frozen settings snapshot plus a
 small canonical parameter list.  Everything a worker needs travels
@@ -35,7 +40,7 @@ _MISSING = object()
 
 @dataclasses.dataclass(frozen=True)
 class SweepPoint:
-    """One independent unit of sweep work (a single simulator run).
+    """One independent unit of sweep work.
 
     ``params`` is an ordered tuple of ``(name, value)`` pairs with
     JSON-native values; together with the settings snapshot it fully
@@ -109,6 +114,7 @@ PROVIDER_MODULES: tuple[str, ...] = (
     "repro.experiments.e11_latency_breakdown",
     "repro.experiments.e12_colocation",
     "repro.experiments.e13_fault_tolerance",
+    "repro.experiments.e14_cross_app",
     "repro.experiments.ablations",
     "repro.chaos.campaign",
 )

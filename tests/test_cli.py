@@ -2,14 +2,18 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.orchestrator import provider_for, sweep_experiments
 
 
 def test_list_prints_every_experiment(capsys):
+    # Ids, order and titles all come from the provider registry.
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for experiment_id in EXPERIMENTS:
-        assert experiment_id in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{experiment_id:4s} {provider_for(experiment_id).title}"
+                     for experiment_id in sweep_experiments()]
+    assert {"e11", "e14", "a4", "chaos"} <= {line.split()[0]
+                                             for line in lines}
 
 
 def test_platform_prints_topology(capsys):
@@ -55,8 +59,27 @@ def test_e10_fast_picks_multi_node_machine(capsys):
 
 
 def test_e11_and_a4_registered():
-    assert "e11" in EXPERIMENTS
-    assert "a4" in EXPERIMENTS
+    # The verbs take their ids from the provider registry.
+    from repro import cli
+
+    parser = cli._build_parser()
+    for verb in ("run", "sweep"):
+        for experiment_id in ("e11", "e14", "a4", "chaos", "all"):
+            args = parser.parse_args([verb, experiment_id])
+            assert args.experiment == experiment_id
+
+
+def test_run_e6_fast_fits_the_default_ladders(capsys):
+    # The default ladders are sized for the 16-CCX rome machine; on the
+    # 8-CCX fast preset E6 keeps the points that fit (1 and 2 CCXs).
+    assert main(["run", "e6", "--fast"]) == 0
+    assert "[E6]" in capsys.readouterr().out
+
+
+def test_chaos_has_no_shards_flag():
+    # Campaign cells build their own deployments; they cannot shard.
+    with pytest.raises(SystemExit):
+        main(["chaos", "run", "--fast", "--shards", "2"])
 
 
 def test_run_e11_fast(capsys):

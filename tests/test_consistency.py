@@ -74,23 +74,25 @@ def test_webui_endpoints_match_catalog_and_profiles():
         assert set(session.transitions) <= webui_endpoints
 
 
-def test_cli_covers_every_experiment_module():
+def test_cli_covers_every_experiment_module(capsys):
     import pkgutil
 
     import repro.experiments as experiments_package
-    from repro.cli import EXPERIMENTS
+    from repro import cli
 
     modules = {name for __, name, __ in pkgutil.iter_modules(
         experiments_package.__path__)}
     experiment_modules = {name for name in modules
                           if name.startswith("e") and name[1].isdigit()}
-    registered = set()
-    for experiment_id in EXPERIMENTS:
-        if experiment_id.startswith("e"):
-            registered.add(experiment_id)
-    # e1..e14 all registered.
+    assert cli.main(["list"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.strip()]
+    registered = {experiment_id for experiment_id in listed
+                  if experiment_id.startswith("e")}
+    # e1..e14 all registered, one per e<N>_* module.
     assert {f"e{i}" for i in range(1, 15)} <= registered
     assert len(experiment_modules) == 14
+    assert {name.split("_")[0] for name in experiment_modules} == registered
 
 
 def test_e3_default_ladder_on_small_machine():

@@ -44,7 +44,7 @@ def _e2(app: str) -> Deployment:
 
 
 def _e8(optimized: bool) -> Deployment:
-    """One side of E8, as ``e8_headline.run_sweep_point`` builds it."""
+    """One side of E8, as ``e8_headline.measure`` builds it."""
     settings = cases.settings_for("e8", 1)
     machine = settings.machine()
     baseline, deployment, __ = run_store(

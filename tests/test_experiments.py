@@ -20,7 +20,9 @@ from repro.experiments import (
     e10_numa,
     e11_latency_breakdown,
 )
+from repro._errors import ConfigurationError
 from repro.experiments.common import format_table
+from repro.orchestrator import plan_sweep
 
 
 def fast(**overrides):
@@ -127,6 +129,40 @@ def test_e6_rejects_oversized_target():
         e6_service_scaling.run(fast(), sweeps={"webui": (6,)})
     with pytest.raises(ConfigurationError):
         e6_service_scaling.run(fast(), sweeps={"ghost": (1,)})
+
+
+def test_e6_default_ladders_drop_points_that_do_not_fit():
+    # 8 CCXs, 6 services: a target can own at most 8 - 5 = 3 CCXs.
+    medium = plan_sweep("e6", fast())
+    assert [p.label for p in medium] == [
+        f"{service}@{n}ccx" for service in ("webui", "persistence",
+                                            "image", "auth")
+        for n in (1, 2)]
+    rome = plan_sweep("e6", fast(preset="rome-1s"))
+    assert len(rome) == sum(map(len, e6_service_scaling.DEFAULT_SWEEPS
+                                .values()))
+    with pytest.raises(ConfigurationError, match="at least 6 CCXs"):
+        plan_sweep("e6", fast(preset="tiny"))
+
+
+@pytest.mark.parametrize("experiment_id,overrides,match", [
+    ("e13", {"app": "socialnet"},
+     "persistence, recommender, which application 'socialnet'"),
+    ("e13", {"app": "boutique"},
+     "persistence, recommender, which application 'boutique'"),
+    ("e11", {"shards": 4}, "E11 builds its own deployments"),
+    ("e12", {"shards": 4}, "E12 builds its own deployments"),
+    ("e13", {"shards": 4}, "E13 builds its own deployments"),
+    ("chaos", {"shards": 4}, "chaos campaign builds its own deployments"),
+], ids=["e13-socialnet", "e13-boutique", "e11-shards", "e12-shards",
+        "e13-shards", "chaos-shards"])
+def test_sweep_points_refuse_what_they_cannot_run(experiment_id, overrides,
+                                                  match):
+    """E13's faults name TeaStore services, and E11/E12/E13/chaos build
+    their own deployments: both fail while planning, before any point
+    runs, instead of dying mid-run or silently ignoring ``shards``."""
+    with pytest.raises(ConfigurationError, match=match):
+        plan_sweep(experiment_id, fast(**overrides))
 
 
 def test_e7_placement_ccx_wins():

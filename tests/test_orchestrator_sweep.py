@@ -1,24 +1,37 @@
-"""End-to-end sweep behaviour: parity with ``run()``, the CLI verb,
-progress telemetry, and the bench artifact."""
+"""End-to-end sweep behaviour: the one registry, parity with ``run()``,
+the CLI verb, and progress telemetry."""
 
 import io
 import json
+import os
+import pkgutil
+import re
+import subprocess
+import sys
 
+import pytest
+
+import repro.experiments
 from repro import cli
 from repro.experiments import ExperimentSettings
-from repro.experiments import ablations, e1_platform, e2_load_scaling
+from repro.experiments import (
+    ablations,
+    e1_platform,
+    e2_load_scaling,
+    e7_placement,
+    e8_headline,
+)
 from repro.orchestrator import (
     ProgressReporter,
     ResultCache,
     plan_sweep,
+    provider_for,
     run_sweep,
     sweep_experiments,
 )
-import pytest
-
-from repro._errors import ConfigurationError
-from repro.orchestrator.bench import append_bench_entry, bench_entry
 from repro.report import build_report, sweep_section
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def tiny():
@@ -26,8 +39,98 @@ def tiny():
                                    warmup=0.1, duration=0.3)
 
 
-def test_every_cli_experiment_has_a_provider():
-    assert sweep_experiments() == sorted(cli.EXPERIMENTS)
+def test_every_cli_experiment_has_a_provider(capsys):
+    """Every id ``repro list`` prints and ``repro run``/``sweep`` accept
+    has a registered provider; the CLI keeps no table of its own."""
+    assert not hasattr(cli, "EXPERIMENTS")
+    assert cli.main(["list"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.strip()]
+    assert listed == sweep_experiments()
+    parser = cli._build_parser()
+    for experiment_id in listed:
+        assert provider_for(experiment_id).title
+        for verb in ("run", "sweep"):
+            args = parser.parse_args([verb, experiment_id])
+            assert args.experiment == experiment_id
+    with pytest.raises(SystemExit):
+        parser.parse_args(["run", "e99"])
+    capsys.readouterr()
+
+
+def test_fresh_process_registry_has_every_experiment():
+    """The registry is complete without help from other imports: a
+    fresh interpreter that imports only ``repro.orchestrator`` lists
+    every ``e<N>_*`` module plus a1-a4 and chaos, and runs e14."""
+    modules = [name for __, name, __ in pkgutil.iter_modules(
+        repro.experiments.__path__) if re.fullmatch(r"e\d+_\w+", name)]
+    expected = sorted({name.split("_")[0] for name in modules}
+                      | {"a1", "a2", "a3", "a4", "chaos"})
+    assert len(modules) == 14
+    code = """
+import json, sys
+from repro.orchestrator import run_sweep, sweep_experiments
+assert "repro.experiments.e14_cross_app" not in sys.modules
+from repro.experiments import ExperimentSettings
+settings = ExperimentSettings.fast(preset="tiny", app="socialnet",
+                                   users=24, warmup=0.05, duration=0.1)
+outcome = run_sweep("e14", settings)
+print(json.dumps({"ids": sweep_experiments(),
+                  "experiment": outcome.result.experiment,
+                  "rows": len(outcome.result.rows)}))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["ids"] == expected
+    assert report["experiment"] == "E14" and report["rows"] == 1
+
+
+def test_table_header_prints_the_registered_title():
+    """The title ``repro list`` prints is the one the table header
+    prints (checked on the ablations, where the two once disagreed)."""
+    settings = ExperimentSettings.fast(preset="tiny", users=24,
+                                       warmup=0.05, duration=0.1)
+    for experiment_id in ("a1", "a2", "a3", "a4", "e1"):
+        result = run_sweep(experiment_id, settings).result
+        assert result.experiment.lower() == experiment_id
+        assert result.render().startswith(
+            f"[{result.experiment}] {provider_for(experiment_id).title}\n")
+
+
+@pytest.mark.parametrize("module,experiment_id,runs", [
+    (e7_placement, "e7", 3),
+    (e8_headline, "e8", 2),
+])
+def test_dependent_experiments_measure_each_run_once(module, experiment_id,
+                                                     runs, monkeypatch):
+    """E7's ccx_aware and E8's optimized side budget with the baseline's
+    profile; the baseline is measured once, sequentially or swept, and
+    no point runs more than two simulations."""
+    calls = []
+    real = module.run_store
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "run_store", counting)
+    settings = ExperimentSettings.fast(preset="medium", users=48,
+                                       warmup=0.1, duration=0.3)
+    expected = module.run(settings).render()
+    assert len(calls) == runs
+    calls.clear()
+    assert run_sweep(experiment_id, settings,
+                     jobs=1).result.render() == expected
+    assert len(calls) == runs
+    for point in plan_sweep(experiment_id, settings):
+        calls.clear()
+        provider_for(experiment_id).run_point(point)
+        assert 1 <= len(calls) <= 2, point.label
 
 
 def test_sweep_matches_run_sequential_and_parallel():
@@ -86,64 +189,6 @@ def test_progress_reporter_events_and_lines():
     assert "sweep complete" in human and "[e2]" in human
 
 
-def test_bench_payload_shape():
-    stats = run_sweep("e1", tiny()).stats
-    entry = bench_entry([stats], jobs=3)
-    assert entry["jobs"] == 3
-    assert entry["experiments"][0]["experiment"] == "e1"
-    totals = entry["totals"]
-    assert totals["points"] >= 1
-    assert json.dumps(entry)
-
-
-def _fake_entry(experiment, jobs, marker):
-    return {"recorded_at": marker, "jobs": jobs,
-            "experiments": [{"experiment": experiment, "executed": 1}],
-            "totals": {"points": 1}}
-
-
-def test_bench_migrates_v1_snapshot(tmp_path):
-    target = tmp_path / "bench.json"
-    v1 = {"artifact": "repro-sweep-bench", "version": 1,
-          "recorded_at": "2026-01-01T00:00:00Z", "jobs": 4,
-          "experiments": [{"experiment": "e2", "executed": 9}],
-          "totals": {"points": 9}}
-    target.write_text(json.dumps(v1))
-    append_bench_entry(target, _fake_entry("e2", 4, "new"))
-    artifact = json.loads(target.read_text())
-    assert artifact["version"] == 2
-    # The v1 snapshot survives as the trajectory's first-ever entry.
-    assert artifact["trajectory"][0]["recorded_at"] == "2026-01-01T00:00:00Z"
-    assert artifact["trajectory"][0]["experiments"][0]["executed"] == 9
-    assert artifact["trajectory"][1]["recorded_at"] == "new"
-    assert "artifact" not in artifact["trajectory"][0]
-
-
-def test_bench_rotation_keeps_first_and_newest_per_group(tmp_path):
-    target = tmp_path / "bench.json"
-    append_bench_entry(target, _fake_entry("e2", 1, "origin"))
-    for index in range(25):
-        append_bench_entry(target, _fake_entry("e2", 4, f"e2-{index}"))
-    append_bench_entry(target, _fake_entry("e8", 4, "e8-only"))
-    trajectory = json.loads(target.read_text())["trajectory"]
-    markers = [entry["recorded_at"] for entry in trajectory]
-    assert markers[0] == "origin"  # first-ever entry is immortal
-    assert "e8-only" in markers  # a burst of e2 cannot evict e8 history
-    e2_markers = [m for m in markers if m.startswith("e2-")]
-    assert e2_markers == [f"e2-{index}" for index in range(5, 25)]
-
-
-def test_bench_rejects_foreign_artifacts(tmp_path):
-    target = tmp_path / "bench.json"
-    target.write_text(json.dumps({"artifact": "something-else"}))
-    with pytest.raises(ConfigurationError):
-        append_bench_entry(target, _fake_entry("e2", 1, "x"))
-    target.write_text(json.dumps({"artifact": "repro-sweep-bench",
-                                  "version": 99}))
-    with pytest.raises(ConfigurationError):
-        append_bench_entry(target, _fake_entry("e2", 1, "x"))
-
-
 def test_report_includes_sweep_telemetry():
     settings = tiny()
     outcome = run_sweep("e1", settings)
@@ -155,31 +200,29 @@ def test_report_includes_sweep_telemetry():
 
 
 def test_cli_sweep_end_to_end(tmp_path, capsys):
-    bench = tmp_path / "bench.json"
     markdown = tmp_path / "report.md"
+    log = tmp_path / "cache" / "last-sweep.jsonl"
     argv = ["sweep", "e1", "--fast", "--jobs", "2", "--quiet",
             "--cache-dir", str(tmp_path / "cache"),
-            "--bench", str(bench), "--markdown", str(markdown)]
+            "--markdown", str(markdown)]
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
     assert "E1" in first
-
-    artifact = json.loads(bench.read_text())
-    assert artifact["artifact"] == "repro-sweep-bench"
-    assert artifact["version"] == 2
-    assert artifact["trajectory"][-1]["experiments"][0]["executed"] >= 1
     assert "## Sweep telemetry" in markdown.read_text()
-    log_lines = (tmp_path / "cache" / "last-sweep.jsonl").read_text()
-    assert '"sweep_start"' in log_lines and '"sweep_end"' in log_lines
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    assert events[0]["event"] == "sweep_start"
+    assert events[-1]["event"] == "sweep_end"
+    assert events[-1]["executed"] >= 1
 
-    # Second invocation replays entirely from the cache and appends a
-    # second trajectory entry rather than overwriting the first.
+    # The second invocation replays entirely from the cache; its log's
+    # sweep_end record says so.
     assert cli.main(argv) == 0
-    capsys.readouterr()
-    replay = json.loads(bench.read_text())
-    assert len(replay["trajectory"]) == 2
-    assert replay["trajectory"][-1]["experiments"][0]["executed"] == 0
-    assert replay["trajectory"][-1]["experiments"][0]["cache_hits"] >= 1
+    assert capsys.readouterr().out == first
+    [end] = [json.loads(line) for line in log.read_text().splitlines()
+             if '"sweep_end"' in line]
+    assert end["experiment"] == "e1"
+    assert end["executed"] == 0
+    assert end["cache_hits"] == end["points"] >= 1
 
 
 def test_cli_sweep_rejects_bad_jobs(capsys):
